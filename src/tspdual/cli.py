@@ -10,16 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dual as dual_mod
 from . import inverse as inverse_mod
-from .errors import TspdualError
+from .errors import ConfigError, TspdualError, check_range
 from .formulation import build_formulation, encode_tour, objective
 from .instance import (
+    MIN_CITIES,
+    ORACLE_MAX_CITIES,
     DistanceMatrix,
     brute_force_optimum,
     load_instance,
@@ -41,13 +44,69 @@ def _write_csv_matrix(path: Path, mat: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise TspdualError("config file must hold a JSON object")
-    return payload
+@dataclass(frozen=True)
+class ExperimentConfig:
+    k: int = 10   # instances per city count
+    ns: tuple[int, ...] = (4, 5)
+    seed: int = 0
+    ascent: dual_mod.AscentConfig = dual_mod.AscentConfig()
+
+    def __post_init__(self):
+        check_range("k", self.k, self.k >= 0, ">= 0")
+        check_range("seed", self.seed, self.seed >= 0, ">= 0")
+        for i, n in enumerate(self.ns):
+            check_range(
+                f"ns[{i}]", n, MIN_CITIES <= n <= ORACLE_MAX_CITIES,
+                f"in {MIN_CITIES}..{ORACLE_MAX_CITIES}",
+            )
+
+
+def config_from_json(tp, value, key: str = ""):
+    """Build a value of type `tp` from parsed JSON.  Dataclass fields and
+    their types are read from the class itself, recursively; unknown keys,
+    wrong types (a bool is not an int) and out-of-range values raise
+    ConfigError naming the key.  A JSON int is accepted for a float.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(
+                key or "config", f"expected a JSON object, got {json.dumps(value)}"
+            )
+        hints = typing.get_type_hints(tp)
+        names = [f.name for f in fields(tp)]
+        prefix = key + "." if key else ""
+        for name in value:
+            if name not in names:
+                raise ConfigError(
+                    prefix + name, f"unknown key; accepted keys are {', '.join(names)}"
+                )
+        kwargs = {
+            name: config_from_json(hints[name], v, prefix + name)
+            for name, v in value.items()
+        }
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(prefix + exc.key, exc.problem) from None
+    if typing.get_origin(tp) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ConfigError(key, f"expected a JSON list, got {json.dumps(value)}")
+        item = typing.get_args(tp)[0]
+        return tuple(
+            config_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value)
+        )
+    if tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(key, "integer out of float range") from None
+    if type(value) is not tp:
+        raise ConfigError(key, f"expected {tp.__name__}, got {json.dumps(value)}")
+    return value
+
+
+def _read_json(path: str | None):
+    return {} if path is None else json.loads(Path(path).read_text())
 
 
 def _get_instance(args) -> tuple[str, DistanceMatrix]:
@@ -127,7 +186,7 @@ def cmd_dual(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     instance_id, d = _get_instance(args)
-    cfg = dual_mod.AscentConfig.from_dict(_load_config(args.config))
+    cfg = config_from_json(dual_mod.AscentConfig, _read_json(args.config))
     r = reduce_formulation(build_formulation(d))
     result = dual_mod.dual_ascent(r, cfg=cfg)
     oracle = brute_force_optimum(d)
@@ -170,13 +229,12 @@ def cmd_dual(args) -> int:
 def cmd_inverse(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = _load_config(args.config)
+    cfg = config_from_json(inverse_mod.SearchConfig, _read_json(args.config))
     if args.seed is not None:
-        payload["seed"] = args.seed
-    cfg = inverse_mod.SearchConfig.from_dict(payload)
+        cfg = replace(cfg, seed=args.seed)
     report = inverse_mod.inverse_search(cfg=cfg)
     doc = report.to_dict()
-    doc["config"] = cfg.to_dict()
+    doc["config"] = asdict(cfg)
     _write_json(out / "report.json", doc)
     if report.verdict == "FeasibleCounterexample":
         print(
@@ -190,26 +248,20 @@ def cmd_inverse(args) -> int:
 def cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = _load_config(args.config)
+    cfg = config_from_json(ExperimentConfig, _read_json(args.config))
     if args.seed is not None:
-        payload["seed"] = args.seed
-    k = int(payload.get("k", 10))
-    ns = [int(v) for v in payload.get("ns", [4, 5])]
-    seed = int(payload.get("seed", 0))
-    cfg = dual_mod.AscentConfig.from_dict(payload.get("ascent", {}))
-
-    effective = {"k": k, "ns": ns, "seed": seed, "ascent": asdict(cfg)}
+        cfg = replace(cfg, seed=args.seed)
     lines = [
-        "# config: " + json.dumps(effective),
+        "# config: " + json.dumps(asdict(cfg)),
         "instance_id,n,seed,oracle_optimum,dual_bound,gap,iterations,termination",
     ]
     gaps = []
-    for n in ns:
-        for i in range(k):
-            inst_seed = seed + i
+    for n in cfg.ns:
+        for i in range(cfg.k):
+            inst_seed = cfg.seed + i
             d, _ = random_euclidean_instance(n, inst_seed)
             r = reduce_formulation(build_formulation(d))
-            result = dual_mod.dual_ascent(r, cfg=cfg)
+            result = dual_mod.dual_ascent(r, cfg=cfg.ascent)
             oracle = brute_force_optimum(d)
             gap = oracle.best_length - result.best_value
             gaps.append(gap)
@@ -244,20 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, config=True):
         if instance:
             p.add_argument("--instance", help="instance JSON path")
             p.add_argument("--n", type=int, help="generate an n-city instance")
-        p.add_argument("--config", help="config JSON path")
+        if config:
+            p.add_argument("--config", help="config JSON path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="random seed")
 
     p = sub.add_parser("formulate", help="write A/C/D matrices and a summary")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_formulate)
 
     p = sub.add_parser("reduce", help="write the reduced problem JSON")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("dual", help="run dual ascent, write trace and gap record")

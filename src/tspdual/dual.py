@@ -10,12 +10,18 @@ A_r(lam,mu) Y = b_r(lam,mu).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotDualFeasible, StartNotDualFeasible
+from .errors import (
+    DimensionMismatch,
+    NotDualFeasible,
+    StartNotDualFeasible,
+    check_range,
+)
 from .instance import OracleResult
 from .reduction import ReducedProblem, reduced_objective
 
@@ -40,7 +46,6 @@ class DualEvaluation:
     grad_lambda: np.ndarray
     grad_mu: np.ndarray
     min_eig: float
-    in_S_plus: bool
 
     @property
     def grad_norm(self) -> float:
@@ -74,10 +79,15 @@ class AscentConfig:
     initial_step: float = 1.0
     min_step: float = 1e-18
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AscentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+    def __post_init__(self):
+        for key in ("gtol", "ftol"):
+            v = getattr(self, key)
+            check_range(key, v, math.isfinite(v) and v >= 0, "finite and >= 0")
+        for key in ("initial_step", "min_step"):
+            v = getattr(self, key)
+            check_range(key, v, math.isfinite(v) and v > 0, "finite and > 0")
+        check_range("max_iter", self.max_iter, self.max_iter >= 0, ">= 0")
+        check_range("stall_iters", self.stall_iters, self.stall_iters >= 1, ">= 1")
 
 
 @dataclass
@@ -139,7 +149,6 @@ def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
         grad_lambda=r.E_r @ y - np.ones(r.n_multipliers),
         grad_mu=0.5 * (y * y - y),
         min_eig=lo,
-        in_S_plus=True,
     )
 
 

@@ -8,6 +8,22 @@ class TspdualError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(TspdualError):
+    """Unknown configuration key, value of the wrong type, or value out of
+    range.  `key` is the dotted path of the offending entry."""
+
+    def __init__(self, key: str, problem: str):
+        self.key = key
+        self.problem = problem
+        super().__init__(f"config key {key!r}: {problem}")
+
+
+def check_range(key: str, value, ok: bool, rule: str) -> None:
+    """Raise ConfigError for `key` unless `ok`; `rule` states the range."""
+    if not ok:
+        raise ConfigError(key, f"must be {rule}, got {value!r}")
+
+
 class InstanceError(TspdualError):
     """Invalid distance matrix or tour data."""
 

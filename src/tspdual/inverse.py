@@ -13,15 +13,15 @@ penalty terms is available for comparison.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleTarget
+from .errors import InfeasibleTarget, check_range
 from .dual import PD_TOLERANCE, min_eigenvalue, point, dual_feasible
 from .formulation import build_formulation
 from .instance import (
+    ORACLE_MAX_CITIES,
     DistanceMatrix,
     Tour,
     brute_force_optimum,
@@ -41,7 +41,11 @@ from .reduction import (
 STRICTNESS_MARGIN = 1e-6   # numerical margin standing in for strict inequalities
 STATIONARITY_TOL = 1e-10
 PENALTY_WEIGHT = 1e3
+LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
+# at n = 3 every tour is the target, so there are no optimality margins
+MIN_SEARCH_CITIES = 4
+PARAMETERIZATIONS = ("points", "direct")
 
 
 @dataclass(frozen=True)
@@ -49,26 +53,22 @@ class SearchConfig:
     n: int = 4
     restarts: int = 1000
     local_iters: int = 2000   # score-evaluation budget per restart
-    lambda_box_factor: float = 10.0
     seed: int = 0
     parameterization: str = "points"  # "points" | "direct"
-    jobs: int = 1
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "restarts": self.restarts,
-            "local_iters": self.local_iters,
-            "lambda_box_factor": self.lambda_box_factor,
-            "seed": self.seed,
-            "parameterization": self.parameterization,
-            "jobs": self.jobs,
-        }
+    def __post_init__(self):
+        check_range(
+            "n", self.n, MIN_SEARCH_CITIES <= self.n <= ORACLE_MAX_CITIES,
+            f"in {MIN_SEARCH_CITIES}..{ORACLE_MAX_CITIES}",
+        )
+        check_range("restarts", self.restarts, self.restarts >= 0, ">= 0")
+        check_range("local_iters", self.local_iters, self.local_iters >= 1, ">= 1")
+        check_range("seed", self.seed, self.seed >= 0, ">= 0")
+        check_range(
+            "parameterization", self.parameterization,
+            self.parameterization in PARAMETERIZATIONS,
+            " or ".join(repr(p) for p in PARAMETERIZATIONS),
+        )
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class InverseCandidate:
     d: DistanceMatrix
     lam: np.ndarray
     mu: np.ndarray
-    derived: bool = True  # mu eliminated from stationarity, not searched
 
 
 @dataclass
@@ -110,7 +109,6 @@ class InverseSearchReport:
                 "d": [float(v) for v in self.best.d.entries.ravel()],
                 "lambda": [float(v) for v in self.best.lam],
                 "mu": [float(v) for v in self.best.mu],
-                "derived": self.best.derived,
             }
         return payload
 
@@ -321,7 +319,7 @@ def _run_restart(
     rng = np.random.default_rng([cfg.seed, k])
     coords = rng.random((n, 2)).ravel()
     d0 = _points_dvec(n, coords)
-    box = cfg.lambda_box_factor * float(np.max(d0))
+    box = LAMBDA_BOX_FACTOR * float(np.max(d0))
     lam = rng.uniform(-box, box, 2 * n - 3)
 
     n_d = n * (n - 1) // 2
@@ -369,12 +367,6 @@ def _run_restart(
     return best, theta
 
 
-def _run_batch(cfg_dict: dict, ybar: list, ks: list[int]):
-    cfg = SearchConfig.from_dict(cfg_dict)
-    ev = _FastEvaluator(cfg.n, np.array(ybar))
-    return [(k, *_run_restart(ev, cfg, k)) for k in ks]
-
-
 def default_target(n: int) -> np.ndarray:
     """Embedding of the identity tour (1, 2, ..., n)."""
     return embed_tour(build_index_map(n), Tour(tuple(range(1, n + 1))))
@@ -405,25 +397,11 @@ def inverse_search(
             seed=cfg.seed,
         )
 
-    ks = list(range(cfg.restarts))
-    if cfg.jobs > 1:
-        chunks = [ks[i::cfg.jobs] for i in range(cfg.jobs)]
-        results = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for out in pool.map(
-                _run_batch,
-                itertools.repeat(cfg.to_dict()),
-                itertools.repeat([float(v) for v in ybar]),
-                chunks,
-            ):
-                results.extend(out)
-    else:
-        ev = _FastEvaluator(n, ybar)
-        results = [(k, *_run_restart(ev, cfg, k)) for k in ks]
-
+    ev = _FastEvaluator(n, ybar)
     # max by score, ties to the lowest restart index
     best_k, best_score, best_theta = -1, float("-inf"), None
-    for k, score, theta in sorted(results):
+    for k in range(cfg.restarts):
+        score, theta = _run_restart(ev, cfg, k)
         if score > best_score:
             best_k, best_score, best_theta = k, score, theta
 
@@ -460,7 +438,7 @@ def inverse_search(
             verdict = "FeasibleCounterexample"
 
     return InverseSearchReport(
-        best=InverseCandidate(d=d, lam=lam, mu=mu, derived=True),
+        best=InverseCandidate(d=d, lam=lam, mu=mu),
         best_min_eig=breakdown.min_eig,
         best_score=best_score,
         stationarity_residual=residual,

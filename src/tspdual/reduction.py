@@ -10,9 +10,7 @@ redundant city-n row deleted.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -138,10 +136,3 @@ def reduced_to_dict(r: ReducedProblem) -> dict:
         "E_r": [[float(v) for v in row] for row in r.E_r],
         "c0": float(r.c0),
     }
-
-
-def dump_reduced(path, r: ReducedProblem, extra: dict | None = None) -> None:
-    payload = reduced_to_dict(r)
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tspdual.cli import main
 from tspdual.instance import save_instance
@@ -150,3 +152,126 @@ class TestExperiment:
             assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append((out / "gaps.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def run_with_config(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+# every config here used to run something other than what it says, or to
+# die with a traceback (exit 1) instead of exit 2
+BAD_CONFIGS = [
+    ("inverse", {"restart": 3}, "restart"),
+    ("inverse", {"restarts": "3"}, "restarts"),
+    ("inverse", {"restarts": -2}, "restarts"),
+    ("inverse", {"restarts": True}, "restarts"),
+    ("inverse", {"restarts": 3.0}, "restarts"),
+    ("inverse", {"n": 2}, "n"),
+    ("inverse", {"n": 3}, "n"),
+    ("inverse", {"n": 11}, "n"),
+    ("inverse", {"local_iters": 0}, "local_iters"),
+    ("inverse", {"seed": -1}, "seed"),
+    ("inverse", {"jobs": 2}, "jobs"),
+    ("inverse", {"lambda_box_factor": 10.0}, "lambda_box_factor"),
+    ("inverse", {"parameterization": "bogus"}, "parameterization"),
+    ("inverse", {"max_iter": "5"}, "max_iter"),
+    ("dual", {"max_iter": "5"}, "max_iter"),
+    ("dual", {"max_iter": -1}, "max_iter"),
+    ("dual", {"stall_iters": 0}, "stall_iters"),
+    ("dual", {"initial_step": 0}, "initial_step"),
+    ("dual", {"min_step": -1e-18}, "min_step"),
+    ("dual", {"initial_step": float("nan")}, "initial_step"),
+    ("dual", {"gtol": -1e-8}, "gtol"),
+    ("dual", {"ftol": float("inf")}, "ftol"),
+    ("dual", {"gtol": 10**400}, "gtol"),
+    ("dual", {"restarts": 3}, "restarts"),
+    ("experiment", {"asent": {}}, "asent"),
+    ("experiment", {"ascent": []}, "ascent"),
+    ("experiment", {"ascent": {"max_iter": -1}}, "ascent.max_iter"),
+    ("experiment", {"ascent": {"maxiter": 5}}, "ascent.maxiter"),
+    ("experiment", {"ns": "45"}, "ns"),
+    ("experiment", {"ns": [4.7]}, "ns[0]"),
+    ("experiment", {"ns": [4, 11]}, "ns[1]"),
+    ("experiment", {"ns": [2]}, "ns[0]"),
+    ("experiment", {"ns": [True]}, "ns[0]"),
+    ("experiment", {"k": -1}, "k"),
+    ("experiment", {"k": "3"}, "k"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, key", BAD_CONFIGS, ids=[f"{c}-{k}" for c, _, k in BAD_CONFIGS]
+)
+def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, config, key):
+    assert run_with_config(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"config key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_bad_seed_flag_exits_2(tmp_path, capsys):
+    argv = ["inverse", "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "config key 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["formulate", "reduce"])
+def test_config_flag_rejected_where_unused(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "cfg.json", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_int_accepted_for_float_field(tmp_path):
+    assert run_with_config(tmp_path, "dual", {"initial_step": 1, "max_iter": 3}) == 0
+    text = (tmp_path / "o" / "gap_record.json").read_text()
+    assert '"initial_step": 1.0' in text
+
+
+# fast valid settings first, so the drawn keys decide whether a run is valid;
+# integer draws stay small so that valid runs take milliseconds
+FAST_BASE = {
+    "inverse": {"restarts": 1, "local_iters": 3},
+    "dual": {"max_iter": 3},
+    "experiment": {"k": 1, "ns": [3], "ascent": {"max_iter": 3}},
+}
+ASCENT_KEYS = ["gtol", "ftol", "max_iter", "stall_iters", "initial_step", "min_step"]
+FUZZ_KEYS = {
+    "inverse": ["n", "restarts", "local_iters", "seed", "parameterization"],
+    "dual": ASCENT_KEYS,
+    "experiment": ["k", "ns", "seed", "ascent"],
+}
+UNKNOWN_KEYS = ["restart", "jobs", "lambda_box_factor", "asent"]
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "3", "points", "direct", "bogus"]),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    command = draw(st.sampled_from(sorted(FAST_BASE)))
+    keys = st.sampled_from(FUZZ_KEYS[command] + UNKNOWN_KEYS)
+    drawn = draw(st.dictionaries(keys, JSON_SCALARS, max_size=2))
+    return command, {**FAST_BASE[command], **drawn}
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=fuzz_configs())
+def test_fuzz_config_exit_codes(tmp_path, capsys, case):
+    code = run_with_config(tmp_path, *case)
+    assert code in (0, 2, 10)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: config key ")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tspdual.errors import InfeasibleTarget
+from tspdual.errors import ConfigError, InfeasibleTarget
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
     DistanceMatrix,
@@ -162,12 +162,6 @@ class TestInverseSearch:
         b = inverse_search(cfg=cfg)
         assert a.to_dict() == b.to_dict()
 
-    def test_parallel_matches_serial(self):
-        base = SearchConfig(restarts=6, local_iters=200, seed=9)
-        serial = inverse_search(cfg=base)
-        parallel = inverse_search(cfg=SearchConfig(**{**base.to_dict(), "jobs": 2}))
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_monotone_local_refinement(self, target4):
         ev = _FastEvaluator(4, target4)
         trace = []
@@ -188,3 +182,21 @@ class TestInverseSearch:
         rep = inverse_search(cfg=cfg)
         assert rep.verdict == "NoFeasiblePointFound"
         assert rep.best is not None
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"n": 3}, "n"),
+            ({"n": 11}, "n"),
+            ({"restarts": -1}, "restarts"),
+            ({"local_iters": 0}, "local_iters"),
+            ({"seed": -1}, "seed"),
+            ({"parameterization": "bogus"}, "parameterization"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, key):
+        with pytest.raises(ConfigError) as exc:
+            SearchConfig(**kwargs)
+        assert exc.value.key == key
