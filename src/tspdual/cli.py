@@ -27,6 +27,7 @@ from .instance import (
     brute_force_optimum,
     load_instance,
     random_euclidean_instance,
+    require_oracle_size,
 )
 from .reduction import reduce_formulation, reduced_to_dict
 
@@ -120,9 +121,10 @@ def _get_instance(args) -> tuple[str, DistanceMatrix]:
 
 
 def cmd_formulate(args) -> int:
+    instance_id, d = _get_instance(args)
+    require_oracle_size(d.n)  # before any work is done or file written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instance_id, d = _get_instance(args)
     f = build_formulation(d)
     _write_csv_matrix(out / "A.csv", f.A)
     _write_csv_matrix(out / "C.csv", f.C)
@@ -183,10 +185,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    instance_id, d = _get_instance(args)
+    require_oracle_size(d.n)  # before the ascent and before any file is written
+    cfg = config_from_json(dual_mod.AscentConfig, _read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instance_id, d = _get_instance(args)
-    cfg = config_from_json(dual_mod.AscentConfig, _read_json(args.config))
     r = reduce_formulation(build_formulation(d))
     result = dual_mod.dual_ascent(r, cfg=cfg)
     oracle = brute_force_optimum(d)
@@ -273,7 +276,8 @@ def cmd_experiment(args) -> int:
     if gaps:
         arr = np.array(gaps)
         lines.append(
-            f"# summary: mean={arr.mean()!r} min={arr.min()!r} max={arr.max()!r}"
+            f"# summary: mean={float(arr.mean())!r} min={float(arr.min())!r} "
+            f"max={float(arr.max())!r}"
         )
     (out / "gaps.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK

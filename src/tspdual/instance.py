@@ -120,14 +120,19 @@ def canonical_tour(t: Tour) -> Tour:
     return Tour(tuple(order))
 
 
+def require_oracle_size(n: int) -> None:
+    """Raise InstanceTooLarge unless the oracle can enumerate n cities."""
+    if n > ORACLE_MAX_CITIES:
+        raise InstanceTooLarge(f"n = {n} exceeds enumeration guard {ORACLE_MAX_CITIES}")
+
+
 def brute_force_optimum(d: DistanceMatrix, fix_first: bool = True) -> OracleResult:
     """Exhaustive enumeration of every tour, canonicalized by fixing city 1
     first and identifying the two travel directions.  Deterministic
     tie-break to the lexicographically smallest tour.
     """
     n = d.n
-    if n > ORACLE_MAX_CITIES:
-        raise InstanceTooLarge(f"n = {n} exceeds enumeration guard {ORACLE_MAX_CITIES}")
+    require_oracle_size(n)
     if fix_first:
         candidates = ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
     else:

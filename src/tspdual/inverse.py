@@ -43,6 +43,8 @@ STATIONARITY_TOL = 1e-10
 PENALTY_WEIGHT = 1e3
 LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
+LOCKSTEP_CHUNK = 256       # restarts advanced together through one batched evaluator
+LOCKSTEP_CELLS = 1 << 22   # cap on chunk x alternative tours (the margin array): n >= 9
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
 PARAMETERIZATIONS = ("points", "direct")
@@ -203,21 +205,27 @@ def feasibility_score(
     )
 
 
-def _check_pd_implies_positive_mu(lo: float, mu: np.ndarray) -> None:
-    # diag(A_r + diag(mu)) = mu, so positive definiteness forces mu > 0
-    if lo > PD_TOLERANCE and not np.all(mu > 0):
+def _check_pd_implies_positive_mu(lo, mu) -> None:
+    # diag(A_r + diag(mu)) = mu, so positive definiteness forces mu > 0;
+    # checked per row of a batch (one lo per row of mu)
+    lo, mu = np.atleast_1d(lo), np.atleast_2d(mu)
+    bad = (lo > PD_TOLERANCE) & ~np.all(mu > 0, axis=1)
+    if bad.any():
         raise AssertionError(
-            f"positive definite shifted matrix with nonpositive mu: {mu}"
+            f"positive definite shifted matrix with nonpositive mu: {mu[bad.argmax()]}"
         )
 
 
 class _FastEvaluator:
-    """Vectorized score evaluation for the inner search loop.
+    """Batched score evaluation for the lockstep search loop.
 
     A_r and b_r are linear and homogeneous in the distance entries, so
     both are precomputed as linear maps over the flattened d by probing
     the formulation/reduction chain on basis matrices.  Results agree
-    with feasibility_score exactly (same arithmetic, reordered).
+    with feasibility_score to rounding, and each row of a batch is
+    bit-identical to the same row evaluated alone: the 0/1 map into A_r
+    is a gather, and every other map goes through a stacked matmul,
+    which makes the same BLAS call per row as a single product.
     """
 
     def __init__(self, n: int, ybar: np.ndarray):
@@ -238,16 +246,17 @@ class _FastEvaluator:
             r = reduce_formulation(build_formulation(DistanceMatrix(n, basis)))
             T[:, m] = r.A_r.ravel()
             B[:, m] = r.b_r
-        self.T = T
         self.B = B
         self.TY = (T.reshape(self.dim, self.dim, n2) * self.ybar[None, :, None]).sum(1)
+        # T is 0/1 with at most one nonzero per row: A_r entries are picked
+        # from d, or from a zero column appended at index n2
+        self.T_cols = np.where(T.any(1), T.argmax(1), n2).reshape(self.dim, self.dim)
 
         idx = build_index_map(n)
         target = canonical_tour(extract_tour(idx, self.ybar)).order
         tours = sorted(brute_force_optimum(
             DistanceMatrix(n, np.zeros((n, n))), fix_first=True
         ).all_lengths)
-        length_rows = []
         self.target_row = None
         alt_rows = []
         for key in tours:
@@ -261,32 +270,28 @@ class _FastEvaluator:
                 alt_rows.append(row)
         self.alt_rows = np.array(alt_rows)
 
-        tri_i, tri_j, tri_k = [], [], []
-        for i, j, k in itertools.permutations(range(n), 3):
-            tri_i.append(i * n + j)
-            tri_j.append(i * n + k)
-            tri_k.append(k * n + j)
-        self.tri = (np.array(tri_i), np.array(tri_j), np.array(tri_k))
+        i, j, k = np.array(list(itertools.permutations(range(n), 3))).T
+        self.tri = (i * n + j, i * n + k, k * n + j)
         self.offdiag = np.array(
             [i * n + j for i in range(n) for j in range(n) if i != j]
         )
 
-    def evaluate(self, dvec: np.ndarray, lam: np.ndarray) -> float:
-        A_ry = self.TY @ dvec
-        b_r = self.B @ dvec
-        mu = (b_r - A_ry - self.ErT @ lam) * self.inv_sign
-        M = (self.T @ dvec).reshape(self.dim, self.dim)
-        M[np.diag_indices_from(M)] += mu
-        lo = float(np.linalg.eigvalsh(M)[0])
+    def evaluate(self, D: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """Scores of a batch: row r of D is a flattened distance matrix and
+        row r of L its lambda."""
+        def apply(m, X):  # row-wise m @ x
+            return np.matmul(m, X[:, :, None])[..., 0]
+
+        mu = (apply(self.B, D) - apply(self.TY, D) - apply(self.ErT, L)) * self.inv_sign
+        M = np.concatenate([D, np.zeros((len(D), 1))], axis=1)[:, self.T_cols]
+        M.reshape(len(D), -1)[:, :: self.dim + 1] += mu  # the diagonals
+        lo = np.linalg.eigvalsh(M)[:, 0]
         _check_pd_implies_positive_mu(lo, mu)
-        margins = self.alt_rows @ dvec - self.target_row @ dvec
-        violation = float(np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins)))
-        violation += float(
-            np.sum(np.maximum(0.0, STRICTNESS_MARGIN - dvec[self.offdiag]))
-        )
-        violation += float(
-            np.sum(np.maximum(0.0, dvec[self.tri[0]] - dvec[self.tri[1]] - dvec[self.tri[2]]))
-        )
+        margins = apply(self.alt_rows, D) - apply(self.target_row, D)[:, None]
+        violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
+        violation += np.sum(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]), axis=1)
+        t0, t1, t2 = self.tri
+        violation += np.sum(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]), axis=1)
         return lo - PENALTY_WEIGHT * violation
 
 
@@ -296,74 +301,71 @@ def _require_target(E_r: np.ndarray, ybar: np.ndarray) -> None:
 
 
 def _points_dvec(n: int, coords: np.ndarray) -> np.ndarray:
-    pts = np.clip(coords.reshape(n, 2), 0.0, 1.0)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff**2).sum(-1)).ravel()
+    """Row-wise: (R, 2n) planar coordinates -> (R, n*n) distances."""
+    pts = np.clip(coords.reshape(-1, n, 2), 0.0, 1.0)
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.sqrt((diff**2).sum(-1)).reshape(-1, n * n)
 
 
-def _direct_dvec(n: int, tri: np.ndarray) -> np.ndarray:
-    mat = np.zeros((n, n))
+def _split(cfg: SearchConfig, theta: np.ndarray):
+    """Rows of theta -> (flattened distance matrices, lambdas)."""
+    n = cfg.n
+    if cfg.parameterization == "points":
+        return _points_dvec(n, theta[:, :2 * n]), theta[:, 2 * n:]
+    k = n * (n - 1) // 2  # direct: upper-triangle entries
+    mat = np.zeros((len(theta), n, n))
     iu = np.triu_indices(n, 1)
-    mat[iu] = tri
-    mat = mat + mat.T
-    return mat.ravel()
+    mat[:, iu[0], iu[1]] = theta[:, :k]
+    return (mat + mat.transpose(0, 2, 1)).reshape(-1, n * n), theta[:, k:]
 
 
-def _run_restart(
-    ev: _FastEvaluator, cfg: SearchConfig, k: int, trace: list | None = None
-):
-    """One seeded start plus derivative-free coordinate refinement.
-    Returns (score, theta).  Accepted scores (appended to trace when
-    given) are nondecreasing by construction."""
+def _start(cfg: SearchConfig, k: int):
+    """Seeded start of restart k: (theta, per-coordinate step scales)."""
     n = cfg.n
     rng = np.random.default_rng([cfg.seed, k])
     coords = rng.random((n, 2)).ravel()
-    d0 = _points_dvec(n, coords)
+    d0 = _points_dvec(n, coords)[0]
     box = LAMBDA_BOX_FACTOR * float(np.max(d0))
     lam = rng.uniform(-box, box, 2 * n - 3)
-
-    n_d = n * (n - 1) // 2
     if cfg.parameterization == "direct":
-        iu = np.triu_indices(n, 1)
-        theta = np.concatenate([d0.reshape(n, n)[iu], lam])
-        to_dvec = lambda th: _direct_dvec(n, th[:n_d])
-        n_shape = n_d
-    else:
-        theta = np.concatenate([coords, lam])
-        to_dvec = lambda th: _points_dvec(n, th[:2 * n])
-        n_shape = 2 * n
-    scales = np.concatenate(
-        [np.full(n_shape, 0.25), np.full(2 * n - 3, max(0.1 * box, 0.1))]
-    )
+        coords = d0.reshape(n, n)[np.triu_indices(n, 1)]
+    scales = [np.full(coords.size, 0.25), np.full(2 * n - 3, max(0.1 * box, 0.1))]
+    return np.concatenate([coords, lam]), np.concatenate(scales)
 
-    def score_of(th):
-        return ev.evaluate(to_dvec(th), th[n_shape:])
 
-    best = score_of(theta)
-    if trace is not None:
-        trace.append(best)
-    evals = 1
-    step = 1.0
-    while evals < cfg.local_iters and step > STEP_FLOOR:
-        improved = False
-        for i in range(len(theta)):
-            for sgn in (1.0, -1.0):
-                if evals >= cfg.local_iters:
-                    break
-                cand = theta.copy()
-                cand[i] += sgn * step * scales[i]
-                s = score_of(cand)
-                evals += 1
-                if s > best:
-                    theta, best = cand, s
-                    if trace is not None:
-                        trace.append(best)
-                    improved = True
-                    break
-            if evals >= cfg.local_iters:
-                break
-        if not improved:
-            step *= 0.5
+def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None = None):
+    """Seeded starts plus derivative-free coordinate refinement of the
+    restarts `ks`, all advanced in lockstep, one evaluation per step.  Per
+    coordinate, +step then -step is proposed; acceptance moves on to the
+    next coordinate, and a sweep with none halves the step.  A restart
+    stops at STEP_FLOOR or after local_iters evaluations.  Rows never mix,
+    so a restart's result does not depend on its chunk.  Returns the best
+    score and theta per restart; `trace` gets the best scores per step."""
+    theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
+    best = ev.evaluate(*_split(cfg, theta))
+    rows, n_coords = np.arange(len(theta)), theta.shape[1]
+    coord = np.zeros(len(theta), dtype=int)
+    sign, step = np.ones(len(theta)), np.ones(len(theta))
+    improved = np.zeros(len(theta), dtype=bool)
+    for _ in range(cfg.local_iters - 1):
+        live = step > STEP_FLOOR  # stopped rows are not evaluated again
+        if not live.any():
+            break
+        cand = theta.copy()
+        cand[rows, coord] += sign * step * scales[rows, coord]
+        s = np.full(len(theta), -np.inf)
+        s[live] = ev.evaluate(*_split(cfg, cand[live]))
+        acc = s > best
+        theta[acc], best[acc] = cand[acc], s[acc]
+        improved |= acc
+        retry = ~acc & (sign > 0)  # a rejected +step is retried as -step
+        sign = np.where(retry, -1.0, 1.0)
+        coord = np.where(retry, coord, (coord + 1) % n_coords)
+        done = ~retry & (coord == 0)  # end of a sweep
+        step[done & ~improved] *= 0.5
+        improved[done] = False
+        if trace is not None:
+            trace.append(best.copy())
     return best, theta
 
 
@@ -398,21 +400,17 @@ def inverse_search(
         )
 
     ev = _FastEvaluator(n, ybar)
-    # max by score, ties to the lowest restart index
-    best_k, best_score, best_theta = -1, float("-inf"), None
-    for k in range(cfg.restarts):
-        score, theta = _run_restart(ev, cfg, k)
-        if score > best_score:
-            best_k, best_score, best_theta = k, score, theta
+    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // len(ev.alt_rows)))
+    scores, thetas = map(np.concatenate, zip(*(
+        _search_chunk(ev, cfg, range(k, min(k + chunk, cfg.restarts)))
+        for k in range(0, cfg.restarts, chunk)
+    )))
+    best_k = int(np.argmax(scores))  # ties to the lowest restart index
+    best_score = float(scores[best_k])
 
     # replay the winner through the full chain
-    n_d = n * (n - 1) // 2
-    if cfg.parameterization == "direct":
-        dvec = _direct_dvec(n, best_theta[:n_d])
-        lam = best_theta[n_d:]
-    else:
-        dvec = _points_dvec(n, best_theta[:2 * n])
-        lam = best_theta[2 * n:]
+    D, L = _split(cfg, thetas[best_k:best_k + 1])
+    dvec, lam = D[0], L[0]
     d = DistanceMatrix(n, dvec.reshape(n, n))
     r = reduce_formulation(build_formulation(d))
     mu = eliminate_mu(r, ybar, lam)

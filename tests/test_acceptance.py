@@ -187,7 +187,7 @@ def test_criterion_8_headline_negative_result(tmp_path):
     report(
         8,
         f"1000 restarts, best min eigenvalue {payload['best_min_eig']:.3e}, "
-        f"{elapsed:.0f}s",
+        f"{elapsed:.0f}s, {payload['restarts'] / elapsed:.1f} restarts/s",
     )
 
 

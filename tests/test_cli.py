@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tspdual import cli
 from tspdual.cli import main
-from tspdual.instance import save_instance
+from tspdual.instance import random_euclidean_instance, save_instance
 
 
 @pytest.fixture
@@ -152,6 +153,39 @@ class TestExperiment:
             assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append((out / "gaps.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_summary_line_parses_as_floats(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1, "ns": [3]}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "gaps.csv").read_text().splitlines()[-1]
+        assert summary.startswith("# summary: ")
+        pairs = [item.split("=") for item in summary[len("# summary: "):].split()]
+        assert [key for key, _ in pairs] == ["mean", "min", "max"]
+        mean, lo, hi = (float(value) for _, value in pairs)
+        assert lo <= mean <= hi
+
+
+@pytest.mark.parametrize("command", ["formulate", "dual"])
+@pytest.mark.parametrize("source", ["n", "instance"])
+def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, command, source):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(cli.dual_mod, "dual_ascent", must_not_run)
+    monkeypatch.setattr(cli, "build_formulation", must_not_run)
+    if source == "n":
+        where = ["--n", "11"]
+    else:
+        path = tmp_path / "n11.json"
+        save_instance(path, random_euclidean_instance(11, 0)[0])
+        where = ["--instance", str(path)]
+    out = tmp_path / "out"
+    assert main([command, *where, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: n = 11 exceeds enumeration guard 10\n"
+    assert not out.exists()  # so no CSV either
 
 
 def run_with_config(tmp_path, command, config):

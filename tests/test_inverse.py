@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tspdual import inverse
+from tspdual.cli import main
 from tspdual.errors import ConfigError, InfeasibleTarget
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -12,9 +15,10 @@ from tspdual.instance import (
     validate_distance_matrix,
 )
 from tspdual.inverse import (
+    PARAMETERIZATIONS,
     SearchConfig,
     _FastEvaluator,
-    _run_restart,
+    _search_chunk,
     default_target,
     edm_violations,
     eliminate_mu,
@@ -138,15 +142,22 @@ class TestFeasibilityScore:
         assert scaled_mu == pytest.approx(c * base_mu, rel=1e-12)
         assert scaled.min_eig == pytest.approx(c * base.min_eig, rel=1e-10)
 
-    def test_fast_evaluator_matches_full_chain(self, target4):
-        ev = _FastEvaluator(4, target4)
+    def test_fast_evaluator_matches_full_chain(self):
+        # one batch of 20 rows; each row also equals itself evaluated alone,
+        # bit for bit, so a restart's score cannot depend on its batch
         rng = np.random.default_rng(6)
-        for seed in range(20):
-            d, _ = random_euclidean_instance(4, seed)
-            lam = rng.normal(scale=3.0, size=5)
-            fast = ev.evaluate(d.entries.ravel(), lam)
-            full = feasibility_score(d, target4, lam)
-            assert fast == pytest.approx(full.score, rel=1e-10, abs=1e-12)
+        for n in (4, 7):
+            target = default_target(n)
+            ev = _FastEvaluator(n, target)
+            ds = [random_euclidean_instance(n, seed)[0] for seed in range(20)]
+            D = np.array([d.entries.ravel() for d in ds])
+            L = rng.normal(scale=3.0, size=(20, 2 * n - 3))
+            fast = ev.evaluate(D, L)
+            assert fast.shape == (20,)
+            for r, d in enumerate(ds):
+                full = feasibility_score(d, target, L[r])
+                assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
+                assert ev.evaluate(D[r:r + 1], L[r:r + 1])[0] == fast[r]
 
 
 class TestInverseSearch:
@@ -164,9 +175,65 @@ class TestInverseSearch:
 
     def test_monotone_local_refinement(self, target4):
         ev = _FastEvaluator(4, target4)
-        trace = []
-        _run_restart(ev, SearchConfig(restarts=1, local_iters=500, seed=7), 0, trace)
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        for parameterization in PARAMETERIZATIONS:
+            cfg = SearchConfig(
+                restarts=6, local_iters=500, seed=7, parameterization=parameterization
+            )
+            trace = []
+            best, _ = _search_chunk(ev, cfg, range(6), trace)
+            steps = np.array(trace)  # one row per step, one column per restart
+            assert steps.shape == (499, 6)
+            assert np.all(np.diff(steps, axis=0) >= 0)
+            assert np.any(np.diff(steps, axis=0) > 0, axis=0).all()
+            assert np.array_equal(steps[-1], best)
+
+    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+    @pytest.mark.parametrize("step_floor", [inverse.STEP_FLOOR, 1e-3])
+    def test_restart_independent_of_its_chunk(
+        self, monkeypatch, target4, parameterization, step_floor
+    ):
+        monkeypatch.setattr(inverse, "STEP_FLOOR", step_floor)
+        cfg = SearchConfig(
+            restarts=12, local_iters=2000, seed=4, parameterization=parameterization
+        )
+        ev = _FastEvaluator(4, target4)
+        sizes, evaluate = [], ev.evaluate
+        ev.evaluate = lambda D, L: sizes.append(len(D)) or evaluate(D, L)
+        s12, th12 = _search_chunk(ev, cfg, range(12))
+        if step_floor == 1e-3:  # restarts left the chunk at different steps
+            assert len(set(sizes)) > 2
+        for ks in (range(5), range(3, 8), range(9, 10)):
+            s, th = _search_chunk(ev, cfg, ks)
+            assert np.array_equal(s, s12[ks.start:ks.stop])
+            assert np.array_equal(th, th12[ks.start:ks.stop])
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n": 4, "restarts": 20, "local_iters": 600, "seed": 11},
+            {"n": 4, "restarts": 9, "local_iters": 600, "seed": 2,
+             "parameterization": "direct"},
+        ],
+    )
+    def test_report_independent_of_chunk_size(self, tmp_path, monkeypatch, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        reports = []
+        for chunk in (1, 7, config["restarts"]):
+            monkeypatch.setattr(inverse, "LOCKSTEP_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            assert main(["inverse", "--config", str(path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_acceptance_inverse_config_pinned(self):
+        # acceptance criterion 9's inverse config; the values are those of
+        # the one-restart-at-a-time search this lockstep loop replaced
+        rep = inverse_search(
+            cfg=SearchConfig(n=4, restarts=60, local_iters=2000, seed=0)
+        )
+        assert rep.best_restart == 13
+        assert rep.best_score == pytest.approx(-4.336366912922909e-05, rel=1e-9)
 
     def test_small_search_stays_negative(self):
         rep = inverse_search(cfg=SearchConfig(restarts=10, local_iters=400, seed=5))
