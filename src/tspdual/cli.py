@@ -171,9 +171,9 @@ def _paper_structure_match(d: DistanceMatrix, r) -> bool:
 
 
 def cmd_reduce(args) -> int:
+    instance_id, d = _get_instance(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instance_id, d = _get_instance(args)
     r = reduce_formulation(build_formulation(d))
     payload = reduced_to_dict(r)
     if d.n == 4:
@@ -230,11 +230,11 @@ def cmd_dual(args) -> int:
 
 
 def cmd_inverse(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = config_from_json(inverse_mod.SearchConfig, _read_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report = inverse_mod.inverse_search(cfg=cfg)
     doc = report.to_dict()
     doc["config"] = asdict(cfg)
@@ -249,11 +249,11 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = config_from_json(ExperimentConfig, _read_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     lines = [
         "# config: " + json.dumps(asdict(cfg)),
         "instance_id,n,seed,oracle_optimum,dual_bound,gap,iterations,termination",

@@ -125,7 +125,10 @@ def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
     """Strict positive definiteness of the shifted matrix: a Cholesky
     attempt plus the smallest eigenvalue against PD_TOLERANCE.
     """
-    A_mat, _ = assemble(r, p)
+    return _positive_definite(assemble(r, p)[0])
+
+
+def _positive_definite(A_mat: np.ndarray) -> tuple[bool, float]:
     try:
         np.linalg.cholesky(A_mat)
         factorizable = True
@@ -138,7 +141,7 @@ def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
 def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
     """Dual function value, recovered minimizer, and its gradient."""
     A_mat, b_vec = assemble(r, p)
-    in_plus, lo = dual_feasible(r, p)
+    in_plus, lo = _positive_definite(A_mat)
     if not in_plus:
         raise NotDualFeasible(f"min eigenvalue {lo!r} <= {PD_TOLERANCE}")
     y = np.linalg.solve(A_mat, b_vec)
@@ -170,10 +173,10 @@ def dual_ascent(
     iterates only ever improve the dual value.
     """
     p = start if start is not None else default_start(r)
-    in_plus, lo = dual_feasible(r, p)
-    if not in_plus:
-        raise StartNotDualFeasible(f"start has min eigenvalue {lo!r}")
-    ev = dual_value(r, p)
+    try:
+        ev = dual_value(r, p)
+    except NotDualFeasible as exc:
+        raise StartNotDualFeasible(f"start has {exc}") from None
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
     step = cfg.initial_step
     stall = 0
@@ -189,12 +192,12 @@ def dual_ascent(
         t = step
         while t >= cfg.min_step:
             cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
-            in_plus, _ = dual_feasible(r, cand)
-            if not in_plus:
+            try:
+                cand_ev = dual_value(r, cand)
+            except NotDualFeasible:
                 left_cone = True
                 t *= 0.5
                 continue
-            cand_ev = dual_value(r, cand)
             if cand_ev.value > ev.value:
                 p, ev = cand, cand_ev
                 trajectory.append((ev.value, ev.grad_norm, ev.min_eig))

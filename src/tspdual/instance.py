@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,8 @@ class Tour:
 class OracleResult:
     best_tour: Tour
     best_length: float
-    all_lengths: dict[tuple[int, ...], float]
+    tours: np.ndarray    # canonical_tours(n)
+    lengths: np.ndarray  # lengths[k] is the length of tours[k]
 
 
 def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
@@ -126,27 +128,40 @@ def require_oracle_size(n: int) -> None:
         raise InstanceTooLarge(f"n = {n} exceeds enumeration guard {ORACLE_MAX_CITIES}")
 
 
-def brute_force_optimum(d: DistanceMatrix, fix_first: bool = True) -> OracleResult:
-    """Exhaustive enumeration of every tour, canonicalized by fixing city 1
-    first and identifying the two travel directions.  Deterministic
-    tie-break to the lexicographically smallest tour.
+@lru_cache(maxsize=None)
+def canonical_tours(n: int) -> np.ndarray:
+    """Every tour once, as a read-only (tours, n) array of 0-based cities in
+    lexicographic order: the canonical_tour of each, city 1 first and the
+    second city below the last.
     """
-    n = d.n
     require_oracle_size(n)
-    if fix_first:
-        candidates = ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
-    else:
-        candidates = itertools.permutations(range(1, n + 1))
-    all_lengths: dict[tuple[int, ...], float] = {}
-    for order in candidates:
-        key = canonical_tour(Tour(order)).order
-        if key not in all_lengths:
-            all_lengths[key] = float(tour_length(d, Tour(key)))
-    best_length = min(all_lengths.values())
-    best_key = min(k for k, v in all_lengths.items() if v == best_length)
-    return OracleResult(
-        best_tour=Tour(best_key), best_length=best_length, all_lengths=all_lengths
-    )
+    flat = itertools.chain.from_iterable(itertools.permutations(range(1, n)))
+    rest = np.fromiter(flat, dtype=np.int8).reshape(-1, n - 1)
+    tours = np.insert(rest[rest[:, 0] < rest[:, -1]], 0, 0, axis=1)
+    tours.flags.writeable = False
+    return tours
+
+
+def tour_lengths(d: DistanceMatrix, tours: np.ndarray) -> np.ndarray:
+    """Cyclic length of each row of 0-based `tours`, summed in tour order
+    from 0.0 as tour_length does, so the two agree bit for bit."""
+    n = tours.shape[1]
+    if n != d.n:
+        raise DimensionMismatch(f"tours have {n} cities, matrix has {d.n}")
+    lengths = np.zeros(len(tours))
+    for j in range(n):
+        lengths += d.entries[tours[:, j], tours[:, (j + 1) % n]]
+    return lengths
+
+
+def brute_force_optimum(d: DistanceMatrix) -> OracleResult:
+    """Exhaustive enumeration of every canonical tour.  Ties go to the
+    lexicographically smallest tour, the first minimum of the table."""
+    tours = canonical_tours(d.n)
+    lengths = tour_lengths(d, tours)
+    best = int(np.argmin(lengths))
+    best_tour = Tour(tuple(int(c) + 1 for c in tours[best]))
+    return OracleResult(best_tour, float(lengths[best]), tours, lengths)
 
 
 def random_euclidean_instance(n: int, seed: int) -> tuple[DistanceMatrix, np.ndarray]:
@@ -163,14 +178,9 @@ def random_euclidean_instance(n: int, seed: int) -> tuple[DistanceMatrix, np.nda
 def points_to_distance_matrix(points: np.ndarray) -> DistanceMatrix:
     """Exactly-symmetric Euclidean distance matrix of planar points."""
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = float(np.hypot(*(points[i] - points[j])))
-            mat[i, j] = dij
-            mat[j, i] = dij
-    return DistanceMatrix(n=n, entries=mat)
+    # hypot ignores signs, so d_ij and d_ji are the same bits
+    diff = points[:, None, :] - points[None, :, :]
+    return DistanceMatrix(n=len(points), entries=np.hypot(diff[..., 0], diff[..., 1]))
 
 
 def load_instance(path) -> tuple[DistanceMatrix, np.ndarray | None]:

@@ -13,7 +13,7 @@ penalty terms is available for comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .instance import (
     ORACLE_MAX_CITIES,
     DistanceMatrix,
     Tour,
-    brute_force_optimum,
     canonical_tour,
-    tour_length,
+    canonical_tours,
+    tour_lengths,
     validate_distance_matrix,
 )
 from .reduction import (
@@ -44,7 +44,7 @@ PENALTY_WEIGHT = 1e3
 LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
 LOCKSTEP_CHUNK = 256       # restarts advanced together through one batched evaluator
-LOCKSTEP_CELLS = 1 << 22   # cap on chunk x alternative tours (the margin array): n >= 9
+LOCKSTEP_CELLS = 1 << 22   # cap on chunk x tour edges (the gathered edges): n >= 8
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
 PARAMETERIZATIONS = ("points", "direct")
@@ -94,18 +94,7 @@ class InverseSearchReport:
     seed: int
 
     def to_dict(self) -> dict:
-        payload = {
-            "best": None,
-            "best_min_eig": self.best_min_eig,
-            "best_score": self.best_score,
-            "stationarity_residual": self.stationarity_residual,
-            "optimality_margins": self.optimality_margins,
-            "edm_violations": self.edm_violations,
-            "restarts": self.restarts,
-            "best_restart": self.best_restart,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.best is not None:
             payload["best"] = {
                 "d": [float(v) for v in self.best.d.entries.ravel()],
@@ -134,23 +123,14 @@ def stationarity_residual(
 
 
 def optimality_margins(d: DistanceMatrix, ybar: np.ndarray) -> np.ndarray:
-    """Tour-length gap of every alternative canonical tour against the
-    target's tour.  All margins strictly positive means the target is the
-    unique optimum; at n=4 this yields exactly two inequalities.
+    """Tour-length gap of every other canonical tour (in table order)
+    against the target's tour.  All margins strictly positive means the
+    target is the unique optimum; at n=4 this yields two inequalities.
     """
-    idx = build_index_map(d.n)
     ybar = np.asarray(ybar, dtype=float)
     _require_target(build_reduced_constraints(d.n), ybar)
-    target = canonical_tour(extract_tour(idx, ybar))
-    target_len = tour_length(d, target)
-    oracle = brute_force_optimum(d, fix_first=True)
-    return np.array(
-        [
-            length - target_len
-            for key, length in sorted(oracle.all_lengths.items())
-            if key != target.order
-        ]
-    )
+    lengths = tour_lengths(d, _target_first_tours(d.n, ybar))
+    return lengths[1:] - lengths[0]
 
 
 def edm_violations(d: DistanceMatrix) -> float:
@@ -224,8 +204,14 @@ class _FastEvaluator:
     the formulation/reduction chain on basis matrices.  Results agree
     with feasibility_score to rounding, and each row of a batch is
     bit-identical to the same row evaluated alone: the 0/1 map into A_r
-    is a gather, and every other map goes through a stacked matmul,
-    which makes the same BLAS call per row as a single product.
+    is a gather, and the other maps of d and lambda go through a stacked
+    matmul, which makes the same BLAS call per row as a single product.
+    Tour lengths sum an edge gather in tour order (edges[a, t] indexes
+    edge a of tour t; the target is tour 0), so the margins equal
+    optimality_margins bit for bit.  The gather must be np.take: its
+    (R, n, T) result is C-ordered, so the margins stay C-contiguous and
+    the penalty keeps its pairwise sum.  A fancy-indexed D[:, edges] has
+    transposed strides, and the penalty's last bits then move at n >= 9.
     """
 
     def __init__(self, n: int, ybar: np.ndarray):
@@ -252,29 +238,19 @@ class _FastEvaluator:
         # from d, or from a zero column appended at index n2
         self.T_cols = np.where(T.any(1), T.argmax(1), n2).reshape(self.dim, self.dim)
 
-        idx = build_index_map(n)
-        target = canonical_tour(extract_tour(idx, self.ybar)).order
-        tours = sorted(brute_force_optimum(
-            DistanceMatrix(n, np.zeros((n, n))), fix_first=True
-        ).all_lengths)
-        self.target_row = None
-        alt_rows = []
-        for key in tours:
-            row = np.zeros(n2)
-            for a in range(n):
-                i, j = key[a] - 1, key[(a + 1) % n] - 1
-                row[i * n + j] += 1.0
-            if key == target:
-                self.target_row = row
-            else:
-                alt_rows.append(row)
-        self.alt_rows = np.array(alt_rows)
+        tours = _target_first_tours(n, self.ybar).astype(np.intp)
+        self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()
 
         i, j, k = np.array(list(itertools.permutations(range(n), 3))).T
         self.tri = (i * n + j, i * n + k, k * n + j)
         self.offdiag = np.array(
             [i * n + j for i in range(n) for j in range(n) if i != j]
         )
+
+    def margins(self, D: np.ndarray) -> np.ndarray:
+        """Row r: optimality margins of the distances in row r of D."""
+        lengths = np.take(D, self.edges, axis=1).sum(axis=1)
+        return lengths[:, 1:] - lengths[:, :1]
 
     def evaluate(self, D: np.ndarray, L: np.ndarray) -> np.ndarray:
         """Scores of a batch: row r of D is a flattened distance matrix and
@@ -287,7 +263,7 @@ class _FastEvaluator:
         M.reshape(len(D), -1)[:, :: self.dim + 1] += mu  # the diagonals
         lo = np.linalg.eigvalsh(M)[:, 0]
         _check_pd_implies_positive_mu(lo, mu)
-        margins = apply(self.alt_rows, D) - apply(self.target_row, D)[:, None]
+        margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += np.sum(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]), axis=1)
         t0, t1, t2 = self.tri
@@ -298,6 +274,14 @@ class _FastEvaluator:
 def _require_target(E_r: np.ndarray, ybar: np.ndarray) -> None:
     if np.max(np.abs(ybar * ybar - ybar)) > 0 or np.max(np.abs(E_r @ ybar - 1.0)) > 0:
         raise InfeasibleTarget("target Y must be binary with E_r Y = e")
+
+
+def _target_first_tours(n: int, ybar: np.ndarray) -> np.ndarray:
+    """canonical_tours(n) with the target's tour moved to row 0."""
+    tours = canonical_tours(n)
+    order = canonical_tour(extract_tour(build_index_map(n), ybar)).order
+    t = int(np.flatnonzero((tours == np.subtract(order, 1)).all(1))[0])
+    return np.concatenate([tours[t:t + 1], np.delete(tours, t, axis=0)])
 
 
 def _points_dvec(n: int, coords: np.ndarray) -> np.ndarray:
@@ -400,7 +384,7 @@ def inverse_search(
         )
 
     ev = _FastEvaluator(n, ybar)
-    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // len(ev.alt_rows)))
+    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // ev.edges.size))
     scores, thetas = map(np.concatenate, zip(*(
         _search_chunk(ev, cfg, range(k, min(k + chunk, cfg.restarts)))
         for k in range(0, cfg.restarts, chunk)
@@ -412,9 +396,8 @@ def inverse_search(
     D, L = _split(cfg, thetas[best_k:best_k + 1])
     dvec, lam = D[0], L[0]
     d = DistanceMatrix(n, dvec.reshape(n, n))
-    r = reduce_formulation(build_formulation(d))
-    mu = eliminate_mu(r, ybar, lam)
     breakdown = feasibility_score(d, ybar, lam)
+    r, mu = reduce_formulation(build_formulation(d)), breakdown.mu
     residual = stationarity_residual(r, ybar, lam, mu)
 
     verdict = "NoFeasiblePointFound"

@@ -62,6 +62,13 @@ class TestReduce:
         assert len(payload["E_r"]) == 7
         assert "paper_match" not in payload
 
+    def test_bad_instance_creates_no_output(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "d": [0, 1]}))
+        out = tmp_path / "o"
+        assert main(["reduce", "--instance", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestDual:
     def test_gap_record(self, tmp_path, unit_square_file):
@@ -244,12 +251,14 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, config, key):
     assert err.count("\n") == 1
     assert f"config key {key!r}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_seed_flag_exits_2(tmp_path, capsys):
     argv = ["inverse", "--seed", "-1", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "config key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce"])

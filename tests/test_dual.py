@@ -242,7 +242,8 @@ class TestVerifyGlobal:
         oracle = OracleResult(
             best_tour=Tour((1, 2, 3, 4)),
             best_length=target_value,
-            all_lengths={(1, 2, 3, 4): target_value},
+            tours=np.array([[0, 1, 2, 3]]),
+            lengths=np.array([target_value]),
         )
         verdict = verify_global(r, point(np.zeros(5), np.zeros(9)), oracle)
         assert verdict is Verdict.ConfirmsTheorem2

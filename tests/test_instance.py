@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +18,13 @@ from tspdual.instance import (
     Tour,
     brute_force_optimum,
     canonical_tour,
+    canonical_tours,
     instance_from_dict,
     load_instance,
     random_euclidean_instance,
     save_instance,
     tour_length,
+    tour_lengths,
     validate_distance_matrix,
 )
 
@@ -107,20 +110,62 @@ class TestOracle:
         res = brute_force_optimum(unit_square)
         assert res.best_tour.order == (1, 2, 3, 4)
         assert res.best_length == 4.0
-        assert len(res.all_lengths) == 3  # canonical tours at n=4
+        assert res.tours.shape == (3, 4)  # canonical tours at n=4
+        assert res.lengths.shape == (3,)
 
     def test_tie_break_all_equal(self):
-        mat = np.ones((4, 4)) - np.eye(4)
-        res = brute_force_optimum(validate_distance_matrix(mat))
-        assert res.best_tour.order == (1, 2, 3, 4)
-        assert all(v == 4.0 for v in res.all_lengths.values())
+        for n in (4, 5):
+            mat = np.ones((n, n)) - np.eye(n)
+            res = brute_force_optimum(validate_distance_matrix(mat))
+            assert res.best_tour.order == tuple(range(1, n + 1))
+            assert np.all(res.lengths == float(n))
 
     def test_fix_first_matches_full_enumeration(self):
+        # the oracle enumerates only tours with city 1 first; the n!
+        # permutations, each measured on its canonical form, give the same table
         d, _ = random_euclidean_instance(5, 3)
-        a = brute_force_optimum(d, fix_first=True)
-        b = brute_force_optimum(d, fix_first=False)
-        assert a.all_lengths == b.all_lengths
-        assert a.best_tour == b.best_tour
+        res = brute_force_optimum(d)
+        table = {
+            tuple(int(c) + 1 for c in row): float(length)
+            for row, length in zip(res.tours, res.lengths)
+        }
+        full = {}
+        for order in itertools.permutations(range(1, 6)):
+            key = canonical_tour(Tour(order)).order
+            if key not in full:
+                full[key] = float(tour_length(d, Tour(key)))
+        assert full == table
+        best_length = min(full.values())
+        assert res.best_length == best_length
+        assert res.best_tour.order == min(k for k, v in full.items() if v == best_length)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_table_is_sorted_canonical_tours(self, n):
+        every = {
+            canonical_tour(Tour(order)).order
+            for order in itertools.permutations(range(1, n + 1))
+        }
+        table = canonical_tours(n)
+        assert [tuple(int(c) + 1 for c in row) for row in table] == sorted(every)
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", ["euclidean", "nonmetric"])
+    def test_tour_lengths_match_tour_length_bitwise(self, n, kind):
+        if kind == "euclidean":
+            d, _ = random_euclidean_instance(n, 100 + n)
+        else:  # spread over six decades, so the order of the sum shows
+            rng = np.random.default_rng(n)
+            mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+            d = validate_distance_matrix(mat + mat.T)
+        tours = canonical_tours(n)
+        lengths = tour_lengths(d, tours)
+        for row, length in zip(tours, lengths):
+            assert length == tour_length(d, Tour(tuple(int(c) + 1 for c in row)))
+
+    def test_tour_lengths_dimension_mismatch(self, unit_square):
+        with pytest.raises(DimensionMismatch):
+            tour_lengths(unit_square, canonical_tours(5))
 
     def test_guard(self):
         d, _ = random_euclidean_instance(11, 0)

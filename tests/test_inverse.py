@@ -11,6 +11,7 @@ from tspdual.formulation import build_formulation
 from tspdual.instance import (
     DistanceMatrix,
     Tour,
+    canonical_tours,
     random_euclidean_instance,
     validate_distance_matrix,
 )
@@ -27,7 +28,7 @@ from tspdual.inverse import (
     optimality_margins,
     stationarity_residual,
 )
-from tspdual.reduction import embed_tour, reduce_formulation
+from tspdual.reduction import build_index_map, embed_tour, reduce_formulation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -158,6 +159,29 @@ class TestFeasibilityScore:
                 full = feasibility_score(d, target, L[r])
                 assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
                 assert ev.evaluate(D[r:r + 1], L[r:r + 1])[0] == fast[r]
+
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    def test_fast_margins_equal_replay_margins(self, n):
+        # the identity tour is row 0 of the table; the other target is not
+        rng = np.random.default_rng(n)
+        swapped = Tour((1, 3, 2) + tuple(range(4, n + 1)))
+        for target in (default_target(n), embed_tour(build_index_map(n), swapped)):
+            ev = _FastEvaluator(n, target)
+            ds = [random_euclidean_instance(n, seed)[0] for seed in range(4)]
+            mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+            ds.append(validate_distance_matrix(mat + mat.T))  # non-metric
+            fast = ev.margins(np.array([d.entries.ravel() for d in ds]))
+            assert fast.flags.c_contiguous
+            for row, d in zip(fast, ds):
+                assert np.array_equal(row, optimality_margins(d, target))
+
+    def test_fast_evaluator_holds_no_dense_tour_rows(self):
+        n = 10
+        ev = _FastEvaluator(n, default_target(n))
+        cap = len(canonical_tours(n)) * n
+        sizes = {k: v.size for k, v in vars(ev).items() if isinstance(v, np.ndarray)}
+        assert ev.edges.size == cap
+        assert max(sizes.values()) <= cap, sizes
 
 
 class TestInverseSearch:
