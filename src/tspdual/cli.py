@@ -184,30 +184,45 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _run_dual(d: DistanceMatrix, cfg: dual_mod.AscentConfig):
+    """Dual ascent on one instance, checked against the oracle: returns
+    (ascent result, oracle optimum, verdict, gap)."""
+    r = reduce_formulation(build_formulation(d))
+    result = dual_mod.dual_ascent(r, cfg=cfg)
+    oracle = brute_force_optimum(d)
+    verdict = dual_mod.verify_global(r, result.best_point, oracle)
+    return result, oracle.best_length, verdict, oracle.best_length - result.best_value
+
+
+def _report_confirmation(where: str) -> int:
+    print(
+        "COUNTEREXAMPLE: dual critical point recovered a binary optimal "
+        f"tour; see {where}",
+        file=sys.stderr,
+    )
+    return EXIT_COUNTEREXAMPLE
+
+
 def cmd_dual(args) -> int:
     instance_id, d = _get_instance(args)
     require_oracle_size(d.n)  # before the ascent and before any file is written
     cfg = config_from_json(dual_mod.AscentConfig, _read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    r = reduce_formulation(build_formulation(d))
-    result = dual_mod.dual_ascent(r, cfg=cfg)
-    oracle = brute_force_optimum(d)
-    verdict = dual_mod.verify_global(r, result.best_point, oracle)
+    result, optimum, verdict, gap = _run_dual(d, cfg)
 
     lines = ["iteration,g,gradient_norm,min_eig"]
     for it, (g, gn, lo) in enumerate(result.trajectory):
         lines.append(f"{it},{g!r},{gn!r},{lo!r}")
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
-    gap = oracle.best_length - result.best_value
     _write_json(
         out / "gap_record.json",
         {
             "instance": instance_id,
             "n": d.n,
             "seed": args.seed if args.seed is not None else 0,
-            "oracle_optimum": oracle.best_length,
+            "oracle_optimum": optimum,
             "dual_bound": result.best_value,
             "gap": gap,
             "iterations": result.iterations,
@@ -220,12 +235,7 @@ def cmd_dual(args) -> int:
         },
     )
     if verdict is dual_mod.Verdict.ConfirmsTheorem2:
-        print(
-            "COUNTEREXAMPLE: dual critical point recovered a binary optimal "
-            "tour; see gap_record.json",
-            file=sys.stderr,
-        )
-        return EXIT_COUNTEREXAMPLE
+        return _report_confirmation("gap_record.json")
     return EXIT_OK
 
 
@@ -258,19 +268,19 @@ def cmd_experiment(args) -> int:
         "# config: " + json.dumps(asdict(cfg)),
         "instance_id,n,seed,oracle_optimum,dual_bound,gap,iterations,termination",
     ]
-    gaps = []
+    gaps, confirmed = [], []
     for n in cfg.ns:
         for i in range(cfg.k):
             inst_seed = cfg.seed + i
+            instance_id = f"euclidean-n{n}-seed{inst_seed}"
             d, _ = random_euclidean_instance(n, inst_seed)
-            r = reduce_formulation(build_formulation(d))
-            result = dual_mod.dual_ascent(r, cfg=cfg.ascent)
-            oracle = brute_force_optimum(d)
-            gap = oracle.best_length - result.best_value
+            result, optimum, verdict, gap = _run_dual(d, cfg.ascent)
             gaps.append(gap)
+            if verdict is dual_mod.Verdict.ConfirmsTheorem2:
+                confirmed.append(instance_id)
             lines.append(
-                f"euclidean-n{n}-seed{inst_seed},{n},{inst_seed},"
-                f"{oracle.best_length!r},{result.best_value!r},{gap!r},"
+                f"{instance_id},{n},{inst_seed},"
+                f"{optimum!r},{result.best_value!r},{gap!r},"
                 f"{result.iterations},{result.termination.value}"
             )
     if gaps:
@@ -280,6 +290,8 @@ def cmd_experiment(args) -> int:
             f"max={float(arr.max())!r}"
         )
     (out / "gaps.csv").write_text("\n".join(lines) + "\n")
+    if confirmed:
+        return _report_confirmation(f"gaps.csv ({', '.join(confirmed)})")
     return EXIT_OK
 
 

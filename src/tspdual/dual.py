@@ -238,10 +238,10 @@ def verify_global(
     match, in that order.  A ConfirmsTheorem2 verdict would be a strong
     positive finding and is expected never to occur.
     """
-    in_plus, _ = dual_feasible(r, p)
-    if not in_plus:
+    try:
+        ev = dual_value(r, p)
+    except NotDualFeasible:
         return Verdict.NotInSPlus
-    ev = dual_value(r, p)
     if ev.grad_norm > gtol:
         return Verdict.NotCriticalPoint
     if np.max(np.abs(ev.Y * ev.Y - ev.Y)) > BINARY_TOLERANCE:

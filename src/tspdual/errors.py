@@ -31,19 +31,25 @@ class InstanceError(TspdualError):
 class AsymmetricMatrix(InstanceError):
     def __init__(self, i: int, j: int, dij: float, dji: float):
         self.pair = (i, j)
-        super().__init__(f"d[{i},{j}] = {dij!r} != d[{j},{i}] = {dji!r}")
+        super().__init__(f"d[{i},{j}] = {float(dij)!r} != d[{j},{i}] = {float(dji)!r}")
+
+
+class NonFiniteDistance(InstanceError):
+    def __init__(self, i: int, j: int, value: float):
+        self.pair = (i, j)
+        super().__init__(f"d[{i},{j}] = {float(value)!r} is not finite")
 
 
 class NegativeDistance(InstanceError):
     def __init__(self, i: int, j: int, value: float):
         self.pair = (i, j)
-        super().__init__(f"d[{i},{j}] = {value!r} is negative")
+        super().__init__(f"d[{i},{j}] = {float(value)!r} is negative")
 
 
 class NonzeroDiagonal(InstanceError):
     def __init__(self, i: int, value: float):
         self.index = i
-        super().__init__(f"d[{i},{i}] = {value!r} must be zero")
+        super().__init__(f"d[{i},{i}] = {float(value)!r} must be zero")
 
 
 class TriangleViolation(InstanceError):
@@ -51,7 +57,8 @@ class TriangleViolation(InstanceError):
         self.pair = (i, j)
         self.via = k
         super().__init__(
-            f"d[{i},{j}] = {direct!r} > d[{i},{k}] + d[{k},{j}] = {detour!r}"
+            f"d[{i},{j}] = {float(direct)!r} > "
+            f"d[{i},{k}] + d[{k},{j}] = {float(detour)!r}"
         )
 
 

@@ -19,6 +19,7 @@ from .errors import (
     InstanceError,
     InstanceTooLarge,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
 )
@@ -67,8 +68,8 @@ class OracleResult:
 
 
 def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
-    """Check symmetry, nonnegativity, zero diagonal, and (optionally) the
-    triangle inequality; returns the validated matrix.
+    """Check finiteness, symmetry, nonnegativity, zero diagonal, and
+    (optionally) the triangle inequality; returns the validated matrix.
     """
     mat = np.array(entries, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -76,6 +77,10 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
     n = mat.shape[0]
     if n < MIN_CITIES:
         raise InstanceError(f"need at least {MIN_CITIES} cities, got n = {n}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if len(bad):
+        i, j = (int(k) for k in bad[0])
+        raise NonFiniteDistance(i + 1, j + 1, mat[i, j])
     for i in range(n):
         if mat[i, i] != 0.0:
             raise NonzeroDiagonal(i + 1, mat[i, i])

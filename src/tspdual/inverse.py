@@ -5,10 +5,10 @@ optimality, and the Euclidean-distance-matrix conditions simultaneously?
 The binarity multipliers mu are eliminated in closed form (each
 stationarity row is linear in exactly one mu_i with coefficient
 Y_i - 1/2 = +-1/2), so the search runs over (d, lambda) only and
-stationarity holds exactly at every iterate.  Distances are
-parameterized by planar points by default, which makes the EDM
-conditions hold by construction; a direct-entry parameterization with
-penalty terms is available for comparison.
+stationarity holds exactly at every iterate.  The search targets the
+identity tour and takes its distances from planar points in the unit
+square only; cities that collapse onto each other are what the EDM
+positivity penalty catches.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ LOCKSTEP_CHUNK = 256       # restarts advanced together through one batched eval
 LOCKSTEP_CELLS = 1 << 22   # cap on chunk x tour edges (the gathered edges): n >= 8
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
-PARAMETERIZATIONS = ("points", "direct")
 
 
 @dataclass(frozen=True)
@@ -56,21 +55,15 @@ class SearchConfig:
     restarts: int = 1000
     local_iters: int = 2000   # score-evaluation budget per restart
     seed: int = 0
-    parameterization: str = "points"  # "points" | "direct"
 
     def __post_init__(self):
         check_range(
             "n", self.n, MIN_SEARCH_CITIES <= self.n <= ORACLE_MAX_CITIES,
             f"in {MIN_SEARCH_CITIES}..{ORACLE_MAX_CITIES}",
         )
-        check_range("restarts", self.restarts, self.restarts >= 0, ">= 0")
+        check_range("restarts", self.restarts, self.restarts >= 1, ">= 1")
         check_range("local_iters", self.local_iters, self.local_iters >= 1, ">= 1")
         check_range("seed", self.seed, self.seed >= 0, ">= 0")
-        check_range(
-            "parameterization", self.parameterization,
-            self.parameterization in PARAMETERIZATIONS,
-            " or ".join(repr(p) for p in PARAMETERIZATIONS),
-        )
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class InverseCandidate:
 
 @dataclass
 class InverseSearchReport:
-    best: InverseCandidate | None
+    best: InverseCandidate
     best_min_eig: float
     best_score: float
     stationarity_residual: float
@@ -95,12 +88,11 @@ class InverseSearchReport:
 
     def to_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.best is not None:
-            payload["best"] = {
-                "d": [float(v) for v in self.best.d.entries.ravel()],
-                "lambda": [float(v) for v in self.best.lam],
-                "mu": [float(v) for v in self.best.mu],
-            }
+        payload["best"] = {
+            "d": [float(v) for v in self.best.d.entries.ravel()],
+            "lambda": [float(v) for v in self.best.lam],
+            "mu": [float(v) for v in self.best.mu],
+        }
         return payload
 
 
@@ -291,16 +283,10 @@ def _points_dvec(n: int, coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(-1)).reshape(-1, n * n)
 
 
-def _split(cfg: SearchConfig, theta: np.ndarray):
-    """Rows of theta -> (flattened distance matrices, lambdas)."""
-    n = cfg.n
-    if cfg.parameterization == "points":
-        return _points_dvec(n, theta[:, :2 * n]), theta[:, 2 * n:]
-    k = n * (n - 1) // 2  # direct: upper-triangle entries
-    mat = np.zeros((len(theta), n, n))
-    iu = np.triu_indices(n, 1)
-    mat[:, iu[0], iu[1]] = theta[:, :k]
-    return (mat + mat.transpose(0, 2, 1)).reshape(-1, n * n), theta[:, k:]
+def _split(n: int, theta: np.ndarray):
+    """Rows of theta (2n coordinates, then lambda) -> (flattened distance
+    matrices, lambdas)."""
+    return _points_dvec(n, theta[:, :2 * n]), theta[:, 2 * n:]
 
 
 def _start(cfg: SearchConfig, k: int):
@@ -308,11 +294,8 @@ def _start(cfg: SearchConfig, k: int):
     n = cfg.n
     rng = np.random.default_rng([cfg.seed, k])
     coords = rng.random((n, 2)).ravel()
-    d0 = _points_dvec(n, coords)[0]
-    box = LAMBDA_BOX_FACTOR * float(np.max(d0))
+    box = LAMBDA_BOX_FACTOR * float(np.max(_points_dvec(n, coords)))
     lam = rng.uniform(-box, box, 2 * n - 3)
-    if cfg.parameterization == "direct":
-        coords = d0.reshape(n, n)[np.triu_indices(n, 1)]
     scales = [np.full(coords.size, 0.25), np.full(2 * n - 3, max(0.1 * box, 0.1))]
     return np.concatenate([coords, lam]), np.concatenate(scales)
 
@@ -326,7 +309,7 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
     so a restart's result does not depend on its chunk.  Returns the best
     score and theta per restart; `trace` gets the best scores per step."""
     theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
-    best = ev.evaluate(*_split(cfg, theta))
+    best = ev.evaluate(*_split(cfg.n, theta))
     rows, n_coords = np.arange(len(theta)), theta.shape[1]
     coord = np.zeros(len(theta), dtype=int)
     sign, step = np.ones(len(theta)), np.ones(len(theta))
@@ -338,7 +321,7 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
         cand = theta.copy()
         cand[rows, coord] += sign * step * scales[rows, coord]
         s = np.full(len(theta), -np.inf)
-        s[live] = ev.evaluate(*_split(cfg, cand[live]))
+        s[live] = ev.evaluate(*_split(cfg.n, cand[live]))
         acc = s > best
         theta[acc], best[acc] = cand[acc], s[acc]
         improved |= acc
@@ -358,31 +341,14 @@ def default_target(n: int) -> np.ndarray:
     return embed_tour(build_index_map(n), Tour(tuple(range(1, n + 1))))
 
 
-def inverse_search(
-    ybar: np.ndarray | None = None, cfg: SearchConfig = SearchConfig()
-) -> InverseSearchReport:
-    """Multistart maximization of the feasibility score; reports the best
-    candidate found and whether it constitutes a counterexample.
+def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
+    """Multistart maximization of the feasibility score at the identity
+    tour; reports the best candidate found and whether it constitutes a
+    counterexample.  Any tour is the identity after relabelling cities
+    2..n, so fixing the target loses no instance.
     """
     n = cfg.n
-    if ybar is None:
-        ybar = default_target(n)
-    ybar = np.asarray(ybar, dtype=float)
-
-    if cfg.restarts == 0:
-        return InverseSearchReport(
-            best=None,
-            best_min_eig=float("-inf"),
-            best_score=float("-inf"),
-            stationarity_residual=float("inf"),
-            optimality_margins=[],
-            edm_violations=float("inf"),
-            restarts=0,
-            best_restart=-1,
-            verdict="NoFeasiblePointFound",
-            seed=cfg.seed,
-        )
-
+    ybar = default_target(n)
     ev = _FastEvaluator(n, ybar)
     chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // ev.edges.size))
     scores, thetas = map(np.concatenate, zip(*(
@@ -393,7 +359,7 @@ def inverse_search(
     best_score = float(scores[best_k])
 
     # replay the winner through the full chain
-    D, L = _split(cfg, thetas[best_k:best_k + 1])
+    D, L = _split(n, thetas[best_k:best_k + 1])
     dvec, lam = D[0], L[0]
     d = DistanceMatrix(n, dvec.reshape(n, n))
     breakdown = feasibility_score(d, ybar, lam)

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from tspdual import cli
 from tspdual.cli import main
+from tspdual.dual import AscentConfig
+from tspdual.inverse import SearchConfig
 from tspdual.instance import random_euclidean_instance, save_instance
 
 
@@ -91,6 +95,17 @@ class TestDual:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
+def test_non_finite_instance_rejected(tmp_path, capsys, command):
+    # JSON 1e999 parses to inf
+    path = tmp_path / "inf.json"
+    path.write_text('{"n": 3, "d": [0, 1e999, 1, 1e999, 0, 1, 1, 1, 0]}')
+    out = tmp_path / "out"
+    assert main([command, "--instance", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: d[1,2] = inf is not finite\n"
+    assert not out.exists()
+
+
 class TestInverse:
     def test_small_run(self, tmp_path):
         out = tmp_path / "out"
@@ -101,15 +116,6 @@ class TestInverse:
         assert report["verdict"] == "NoFeasiblePointFound"
         assert report["best_min_eig"] <= 1e-8
         assert report["config"]["restarts"] == 5
-
-    def test_zero_restarts(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"restarts": 0}))
-        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 0
-        report = read_json(out / "report.json")
-        assert report["restarts"] == 0
-        assert report["best"] is None
 
     def test_seed_reproducibility(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -161,6 +167,18 @@ class TestExperiment:
             blobs.append((out / "gaps.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_confirmation_exits_10(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli.dual_mod, "verify_global",
+            lambda *args: cli.dual_mod.Verdict.ConfirmsTheorem2,
+        )
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "ns": [3]}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 10
+        assert "COUNTEREXAMPLE" in capsys.readouterr().err
+        assert len((out / "gaps.csv").read_text().splitlines()) == 5
+
     def test_summary_line_parses_as_floats(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
@@ -209,6 +227,7 @@ BAD_CONFIGS = [
     ("inverse", {"restarts": -2}, "restarts"),
     ("inverse", {"restarts": True}, "restarts"),
     ("inverse", {"restarts": 3.0}, "restarts"),
+    ("inverse", {"restarts": 0}, "restarts"),
     ("inverse", {"n": 2}, "n"),
     ("inverse", {"n": 3}, "n"),
     ("inverse", {"n": 11}, "n"),
@@ -217,6 +236,8 @@ BAD_CONFIGS = [
     ("inverse", {"jobs": 2}, "jobs"),
     ("inverse", {"lambda_box_factor": 10.0}, "lambda_box_factor"),
     ("inverse", {"parameterization": "bogus"}, "parameterization"),
+    ("inverse", {"parameterization": "points"}, "parameterization"),
+    ("inverse", {"parameterization": "direct"}, "parameterization"),
     ("inverse", {"max_iter": "5"}, "max_iter"),
     ("dual", {"max_iter": "5"}, "max_iter"),
     ("dual", {"max_iter": -1}, "max_iter"),
@@ -283,11 +304,11 @@ FAST_BASE = {
 }
 ASCENT_KEYS = ["gtol", "ftol", "max_iter", "stall_iters", "initial_step", "min_step"]
 FUZZ_KEYS = {
-    "inverse": ["n", "restarts", "local_iters", "seed", "parameterization"],
+    "inverse": ["n", "restarts", "local_iters", "seed"],
     "dual": ASCENT_KEYS,
     "experiment": ["k", "ns", "seed", "ascent"],
 }
-UNKNOWN_KEYS = ["restart", "jobs", "lambda_box_factor", "asent"]
+UNKNOWN_KEYS = ["restart", "jobs", "lambda_box_factor", "parameterization", "asent"]
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -318,3 +339,33 @@ def test_fuzz_config_exit_codes(tmp_path, capsys, case):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: config key ")
+
+
+def readme_key_table(heading):
+    """(key, default) per row of the first table after the README line
+    that starts with `heading`, backticks stripped."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    table = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            table.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+        elif table:
+            break
+    return [(row[0], row[-1]) for row in table[2:]]  # past header and rule
+
+
+@pytest.mark.parametrize(
+    "heading, tp",
+    [
+        ("`inverse` (search config)", SearchConfig),
+        ("`dual` (ascent config)", AscentConfig),
+        ("`experiment` (gap sweep", cli.ExperimentConfig),
+    ],
+    ids=["inverse", "dual", "experiment"],
+)
+def test_readme_config_table_matches_fields(heading, tp):
+    rows = readme_key_table(heading)
+    assert [key for key, _ in rows] == [f.name for f in fields(tp)]
+    for key, default in rows:
+        assert cli.config_from_json(tp, {key: json.loads(default)}) == tp(), key

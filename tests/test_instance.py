@@ -11,6 +11,7 @@ from tspdual.errors import (
     InstanceError,
     InstanceTooLarge,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
 )
@@ -68,6 +69,16 @@ class TestValidation:
         mat[1, 0] = 2.0
         with pytest.raises(InstanceError):
             validate_distance_matrix(mat)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite(self, value):
+        # a NaN entry is not reported as an asymmetry, though NaN != NaN
+        mat = np.ones((3, 3)) - np.eye(3)
+        mat[1, 2] = mat[2, 1] = value
+        with pytest.raises(NonFiniteDistance) as exc:
+            validate_distance_matrix(mat)
+        assert exc.value.pair == (2, 3)
+        assert str(exc.value) == f"d[2,3] = {value!r} is not finite"
 
     def test_too_small(self):
         with pytest.raises(InstanceError):

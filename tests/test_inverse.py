@@ -16,7 +16,6 @@ from tspdual.instance import (
     validate_distance_matrix,
 )
 from tspdual.inverse import (
-    PARAMETERIZATIONS,
     SearchConfig,
     _FastEvaluator,
     _search_chunk,
@@ -185,12 +184,6 @@ class TestFeasibilityScore:
 
 
 class TestInverseSearch:
-    def test_zero_restarts_vacuous(self):
-        rep = inverse_search(cfg=SearchConfig(restarts=0))
-        assert rep.restarts == 0
-        assert rep.best is None
-        assert rep.verdict == "NoFeasiblePointFound"
-
     def test_deterministic_under_seed(self):
         cfg = SearchConfig(restarts=4, local_iters=300, seed=123)
         a = inverse_search(cfg=cfg)
@@ -199,27 +192,19 @@ class TestInverseSearch:
 
     def test_monotone_local_refinement(self, target4):
         ev = _FastEvaluator(4, target4)
-        for parameterization in PARAMETERIZATIONS:
-            cfg = SearchConfig(
-                restarts=6, local_iters=500, seed=7, parameterization=parameterization
-            )
-            trace = []
-            best, _ = _search_chunk(ev, cfg, range(6), trace)
-            steps = np.array(trace)  # one row per step, one column per restart
-            assert steps.shape == (499, 6)
-            assert np.all(np.diff(steps, axis=0) >= 0)
-            assert np.any(np.diff(steps, axis=0) > 0, axis=0).all()
-            assert np.array_equal(steps[-1], best)
+        cfg = SearchConfig(restarts=6, local_iters=500, seed=7)
+        trace = []
+        best, _ = _search_chunk(ev, cfg, range(6), trace)
+        steps = np.array(trace)  # one row per step, one column per restart
+        assert steps.shape == (499, 6)
+        assert np.all(np.diff(steps, axis=0) >= 0)
+        assert np.any(np.diff(steps, axis=0) > 0, axis=0).all()
+        assert np.array_equal(steps[-1], best)
 
-    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
     @pytest.mark.parametrize("step_floor", [inverse.STEP_FLOOR, 1e-3])
-    def test_restart_independent_of_its_chunk(
-        self, monkeypatch, target4, parameterization, step_floor
-    ):
+    def test_restart_independent_of_its_chunk(self, monkeypatch, target4, step_floor):
         monkeypatch.setattr(inverse, "STEP_FLOOR", step_floor)
-        cfg = SearchConfig(
-            restarts=12, local_iters=2000, seed=4, parameterization=parameterization
-        )
+        cfg = SearchConfig(restarts=12, local_iters=2000, seed=4)
         ev = _FastEvaluator(4, target4)
         sizes, evaluate = [], ev.evaluate
         ev.evaluate = lambda D, L: sizes.append(len(D)) or evaluate(D, L)
@@ -235,8 +220,7 @@ class TestInverseSearch:
         "config",
         [
             {"n": 4, "restarts": 20, "local_iters": 600, "seed": 11},
-            {"n": 4, "restarts": 9, "local_iters": 600, "seed": 2,
-             "parameterization": "direct"},
+            {"n": 5, "restarts": 9, "local_iters": 600, "seed": 2},
         ],
     )
     def test_report_independent_of_chunk_size(self, tmp_path, monkeypatch, config):
@@ -266,14 +250,6 @@ class TestInverseSearch:
         assert rep.stationarity_residual <= 1e-10
         assert rep.edm_violations == 0.0
 
-    def test_direct_parameterization_runs(self):
-        cfg = SearchConfig(
-            restarts=3, local_iters=200, seed=2, parameterization="direct"
-        )
-        rep = inverse_search(cfg=cfg)
-        assert rep.verdict == "NoFeasiblePointFound"
-        assert rep.best is not None
-
 
 class TestSearchConfig:
     @pytest.mark.parametrize(
@@ -284,7 +260,7 @@ class TestSearchConfig:
             ({"restarts": -1}, "restarts"),
             ({"local_iters": 0}, "local_iters"),
             ({"seed": -1}, "seed"),
-            ({"parameterization": "bogus"}, "parameterization"),
+            ({"restarts": 0}, "restarts"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, key):
