@@ -194,16 +194,47 @@ def load_instance(path) -> tuple[DistanceMatrix, np.ndarray | None]:
     return instance_from_dict(payload)
 
 
-def instance_from_dict(payload: dict) -> tuple[DistanceMatrix, np.ndarray | None]:
-    n = int(payload["n"])
-    flat = payload["d"]
-    if len(flat) != n * n:
-        raise InstanceError(f"expected {n * n} entries in 'd', got {len(flat)}")
-    d = validate_distance_matrix(np.array(flat, dtype=float).reshape(n, n))
-    points = None
-    if payload.get("points") is not None:
-        points = np.array(payload["points"], dtype=float)
+def instance_from_dict(payload) -> tuple[DistanceMatrix, np.ndarray | None]:
+    """Parsed instance JSON -> (validated matrix, points or None).  Types
+    follow the config loader's rules (a bool or a float is not an int);
+    anything else raises InstanceError."""
+    if not isinstance(payload, dict):
+        raise InstanceError(f"instance must be a JSON object, got {_brief(payload)}")
+    n = payload.get("n")
+    if type(n) is not int or n < MIN_CITIES:
+        raise InstanceError(f"'n' must be an integer >= {MIN_CITIES}, got {_brief(n)}")
+    d = validate_distance_matrix(_reals(payload.get("d"), n * n, "d").reshape(n, n))
+    points = payload.get("points")
+    if points is not None:
+        if not isinstance(points, list) or len(points) != n:
+            raise InstanceError(
+                f"'points' must be a list of {n} [x, y] pairs, got {_brief(points)}"
+            )
+        points = np.array([_reals(p, 2, f"points[{i}]") for i, p in enumerate(points)])
+        if not np.isfinite(points).all():
+            raise InstanceError("'points' must be finite")
     return d, points
+
+
+def _reals(values, count: int, key: str) -> np.ndarray:
+    """A JSON list of `count` numbers as floats."""
+    if not isinstance(values, list) or len(values) != count:
+        raise InstanceError(
+            f"'{key}' must be a list of {count} numbers, got {_brief(values)}"
+        )
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise InstanceError(f"'{key}[{i}]' must be a number, got {_brief(v)}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise InstanceError(f"'{key}' holds an integer out of float range") from None
+
+
+def _brief(value) -> str:
+    """JSON text of a value, cut to one short line for an error message."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def save_instance(path, d: DistanceMatrix, points: np.ndarray | None = None) -> None:

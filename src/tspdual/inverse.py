@@ -44,7 +44,7 @@ PENALTY_WEIGHT = 1e3
 LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
 LOCKSTEP_CHUNK = 256       # restarts advanced together through one batched evaluator
-LOCKSTEP_CELLS = 1 << 22   # cap on chunk x tour edges (the gathered edges): n >= 8
+LOCKSTEP_CELLS = 1 << 22   # cap on scored rows x tour edges (the gathered edges): n >= 8
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
 
@@ -244,23 +244,40 @@ class _FastEvaluator:
         lengths = np.take(D, self.edges, axis=1).sum(axis=1)
         return lengths[:, 1:] - lengths[:, :1]
 
-    def evaluate(self, D: np.ndarray, L: np.ndarray) -> np.ndarray:
+    def evaluate(self, D: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Scores of a batch: row r of D is a flattened distance matrix and
-        row r of L its lambda."""
+        row r of L its lambda.  A row whose score cannot exceed floor[r]
+        scores -inf without an eigensolve; every other row gets its exact
+        score, so a caller that accepts only scores > floor sees the same
+        decisions.
+
+        The bound: diag M = mu, so lambda_min(M) <= min(mu) (Rayleigh-Ritz).
+        eigvalsh's eigenvalues are exact for some M + E with ||E||_2 a
+        modest multiple of eps * ||M||_2, and ||M||_2 <= max|mu| + dim *
+        max|d|; the slack, 1e-12 (about 4500 eps) times that norm bound,
+        covers the error with room to spare.  Rounding is monotone, so a
+        pruned row's computed score could not have exceeded floor either.
+        """
         def apply(m, X):  # row-wise m @ x
             return np.matmul(m, X[:, :, None])[..., 0]
 
         mu = (apply(self.B, D) - apply(self.TY, D) - apply(self.ErT, L)) * self.inv_sign
-        M = np.concatenate([D, np.zeros((len(D), 1))], axis=1)[:, self.T_cols]
-        M.reshape(len(D), -1)[:, :: self.dim + 1] += mu  # the diagonals
-        lo = np.linalg.eigvalsh(M)[:, 0]
-        _check_pd_implies_positive_mu(lo, mu)
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += np.sum(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]), axis=1)
         t0, t1, t2 = self.tri
         violation += np.sum(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]), axis=1)
-        return lo - PENALTY_WEIGHT * violation
+        penalty = PENALTY_WEIGHT * violation
+        slack = 1e-12 * (np.abs(mu).max(1) + self.dim * np.abs(D).max(1))
+        solve = mu.min(1) + slack - penalty > floor
+
+        scores = np.full(len(D), -np.inf)
+        M = np.concatenate([D[solve], np.zeros((solve.sum(), 1))], axis=1)[:, self.T_cols]
+        M.reshape(len(M), self.dim**2)[:, :: self.dim + 1] += mu[solve]  # the diagonals
+        lo = np.linalg.eigvalsh(M)[:, 0]
+        _check_pd_implies_positive_mu(lo, mu[solve])
+        scores[solve] = lo - penalty[solve]
+        return scores
 
 
 def _require_target(E_r: np.ndarray, ybar: np.ndarray) -> None:
@@ -302,35 +319,42 @@ def _start(cfg: SearchConfig, k: int):
 
 def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None = None):
     """Seeded starts plus derivative-free coordinate refinement of the
-    restarts `ks`, all advanced in lockstep, one evaluation per step.  Per
-    coordinate, +step then -step is proposed; acceptance moves on to the
-    next coordinate, and a sweep with none halves the step.  A restart
-    stops at STEP_FLOOR or after local_iters evaluations.  Rows never mix,
-    so a restart's result does not depend on its chunk.  Returns the best
-    score and theta per restart; `trace` gets the best scores per step."""
+    restarts `ks`, all advanced in lockstep over one shared coordinate.
+    Per coordinate, +step then -step is proposed: both are scored in one
+    batch, and the -step is used (and counted as an evaluation) only when
+    the +step was rejected and the restart has budget left.  A sweep with
+    no acceptance halves the step.  A restart stops at STEP_FLOOR or after
+    local_iters evaluations.  Rows never mix, so a restart's result does
+    not depend on its chunk.  Returns the best score and theta per
+    restart; `trace` gets the best scores per coordinate step."""
     theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
-    best = ev.evaluate(*_split(cfg.n, theta))
-    rows, n_coords = np.arange(len(theta)), theta.shape[1]
-    coord = np.zeros(len(theta), dtype=int)
-    sign, step = np.ones(len(theta)), np.ones(len(theta))
-    improved = np.zeros(len(theta), dtype=bool)
-    for _ in range(cfg.local_iters - 1):
-        live = step > STEP_FLOOR  # stopped rows are not evaluated again
-        if not live.any():
+    R, n_coords = theta.shape
+    best = ev.evaluate(*_split(cfg.n, theta), np.full(R, -np.inf))
+    left = np.full(R, cfg.local_iters - 1)  # evaluations left after the start
+    step = np.ones(R)
+    improved = np.zeros(R, dtype=bool)
+    for c in itertools.cycle(range(n_coords)):
+        live = np.flatnonzero((step > STEP_FLOOR) & (left > 0))
+        if not live.size:
             break
-        cand = theta.copy()
-        cand[rows, coord] += sign * step * scales[rows, coord]
-        s = np.full(len(theta), -np.inf)
-        s[live] = ev.evaluate(*_split(cfg.n, cand[live]))
-        acc = s > best
-        theta[acc], best[acc] = cand[acc], s[acc]
-        improved |= acc
-        retry = ~acc & (sign > 0)  # a rejected +step is retried as -step
-        sign = np.where(retry, -1.0, 1.0)
-        coord = np.where(retry, coord, (coord + 1) % n_coords)
-        done = ~retry & (coord == 0)  # end of a sweep
-        step[done & ~improved] *= 0.5
-        improved[done] = False
+        m, delta = live.size, step[live] * scales[live, c]
+        cand = np.concatenate([theta[live], theta[live]])  # +step rows, then -step rows
+        cand[:m, c] += delta
+        cand[m:, c] -= delta
+        # a -step with no budget left has floor +inf, so it is never solved
+        floor = np.concatenate([best[live], np.where(left[live] > 1, best[live], np.inf)])
+        s = ev.evaluate(*_split(cfg.n, cand), floor)
+        take_plus = s[:m] > best[live]
+        s = np.where(take_plus, s[:m], s[m:])
+        acc = s > best[live]
+        rows = live[acc]
+        theta[rows] = np.where(take_plus[:, None], cand[:m], cand[m:])[acc]
+        best[rows] = s[acc]
+        improved[rows] = True
+        left[live] -= np.where(take_plus, 1, 2)
+        if c == n_coords - 1:  # end of a sweep
+            step[~improved] *= 0.5
+            improved[:] = False
         if trace is not None:
             trace.append(best.copy())
     return best, theta
@@ -350,7 +374,8 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     n = cfg.n
     ybar = default_target(n)
     ev = _FastEvaluator(n, ybar)
-    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // ev.edges.size))
+    # each restart scores two rows (+step and -step) per lockstep step
+    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // (2 * ev.edges.size)))
     scores, thetas = map(np.concatenate, zip(*(
         _search_chunk(ev, cfg, range(k, min(k + chunk, cfg.restarts)))
         for k in range(0, cfg.restarts, chunk)

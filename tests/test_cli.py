@@ -106,6 +106,58 @@ def test_non_finite_instance_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+TRIANGLE = [0, 1, 1, 1, 0, 1, 1, 1, 0]
+CORNERS = [[0, 0], [1, 0], [0, 1]]
+# (id, file text, what the one-line error names); each of these used to run
+# as something else, or to die with a traceback
+BAD_INSTANCES = [
+    ("list", "[]", "instance must be a JSON object"),
+    ("string", '"square"', "instance must be a JSON object"),
+    ("n-float", json.dumps({"n": 3.9, "d": TRIANGLE}), "'n'"),
+    ("n-integral-float", json.dumps({"n": 3.0, "d": TRIANGLE}), "'n'"),
+    ("n-bool", json.dumps({"n": True, "d": [0]}), "'n'"),
+    ("n-string", json.dumps({"n": "3", "d": TRIANGLE}), "'n'"),
+    ("n-missing", json.dumps({"d": TRIANGLE}), "'n'"),
+    ("n-negative", json.dumps({"n": -3, "d": TRIANGLE}), "'n'"),
+    ("d-missing", json.dumps({"n": 3}), "'d'"),
+    ("d-number", json.dumps({"n": 3, "d": 5}), "'d'"),
+    ("d-string", json.dumps({"n": 3, "d": "012"}), "'d'"),
+    ("d-rows", json.dumps({"n": 3, "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}), "'d'"),
+    ("d-bool", json.dumps({"n": 3, "d": [0, True] + TRIANGLE[2:]}), "'d[1]'"),
+    ("d-string-entry", json.dumps({"n": 3, "d": [0, "1"] + TRIANGLE[2:]}), "'d[1]'"),
+    ("d-inf", '{"n": 3, "d": [0, 1e400, 1, 1, 0, 1, 1, 1, 0]}', "d[1,2]"),
+    ("d-huge-int", '{"n": 3, "d": [0, 1%s, 1, 1, 0, 1, 1, 1, 0]}' % ("0" * 400), "'d'"),
+    ("points-short", json.dumps({"n": 3, "d": TRIANGLE, "points": [[0, 0]]}), "'points'"),
+    ("points-string", json.dumps({"n": 3, "d": TRIANGLE, "points": "abc"}), "'points'"),
+    ("point-short", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS[:2] + [[0]]}),
+     "'points[2]'"),
+    ("point-number", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS[:2] + [5]}),
+     "'points[2]'"),
+    ("point-string", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS[:2] + [[0, "1"]]}),
+     "'points[2][1]'"),
+    ("point-bool", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS[:2] + [[False, 1]]}),
+     "'points[2][0]'"),
+    ("point-inf", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS}).replace("1]]", "1e400]]"),
+     "'points'"),
+]
+
+
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
+@pytest.mark.parametrize(
+    "text, names", [case[1:] for case in BAD_INSTANCES], ids=[case[0] for case in BAD_INSTANCES]
+)
+def test_bad_instance_file_exits_2(tmp_path, capsys, command, text, names):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--instance", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestInverse:
     def test_small_run(self, tmp_path):
         out = tmp_path / "out"

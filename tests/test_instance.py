@@ -234,3 +234,10 @@ class TestInstanceIO:
     def test_bad_length(self):
         with pytest.raises(InstanceError):
             instance_from_dict({"n": 3, "d": [0.0] * 8})
+
+    def test_json_ints_read_as_reals(self):
+        payload = {"n": 3, "d": [0, 1, 1, 1, 0, 1, 1, 1, 0], "points": [[0, 0], [1, 0], [0, 1]]}
+        d, points = instance_from_dict(payload)
+        assert d.entries.dtype == points.dtype == np.float64
+        assert points.shape == (3, 2)
+        assert d.entries[0, 1] == 1.0

@@ -1,8 +1,11 @@
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tspdual import inverse
 from tspdual.cli import main
@@ -30,6 +33,11 @@ from tspdual.inverse import (
 from tspdual.reduction import build_index_map, embed_tour, reduce_formulation
 
 SQRT2 = math.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def evaluator(n):
+    return _FastEvaluator(n, default_target(n))
 
 
 @pytest.fixture
@@ -152,12 +160,12 @@ class TestFeasibilityScore:
             ds = [random_euclidean_instance(n, seed)[0] for seed in range(20)]
             D = np.array([d.entries.ravel() for d in ds])
             L = rng.normal(scale=3.0, size=(20, 2 * n - 3))
-            fast = ev.evaluate(D, L)
+            fast = ev.evaluate(D, L, np.full(20, -np.inf))
             assert fast.shape == (20,)
             for r, d in enumerate(ds):
                 full = feasibility_score(d, target, L[r])
                 assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
-                assert ev.evaluate(D[r:r + 1], L[r:r + 1])[0] == fast[r]
+                assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == fast[r]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_fast_margins_equal_replay_margins(self, n):
@@ -183,6 +191,127 @@ class TestFeasibilityScore:
         assert max(sizes.values()) <= cap, sizes
 
 
+@st.composite
+def scored_batches(draw):
+    """(n, D, L): Euclidean rows, rows with collapsed cities (where A_r
+    loses entries and lambda_min can equal min(mu) exactly) and non-metric
+    rows spanning six decades, with lambdas at three scales."""
+    n = draw(st.sampled_from([4, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row_kind = st.sampled_from(["points", "collapsed", "nonmetric"])
+    kinds = draw(st.lists(row_kind, min_size=1, max_size=6))
+    rows = []
+    for kind in kinds:
+        if kind == "nonmetric":
+            mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+            rows.append((mat + mat.T).ravel())
+            continue
+        pts = rng.random((n, 2))
+        if kind == "collapsed":
+            pts[draw(st.integers(0, n - 1)):] = pts[-1]  # the last cities coincide
+        rows.append(inverse._points_dvec(n, pts.ravel()[None])[0])
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return n, np.array(rows), rng.normal(scale=scale, size=(len(rows), 2 * n - 3))
+
+
+class TestBoundPruning:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scored_batches())
+    def test_pruned_rows_could_not_beat_the_floor(self, batch):
+        n, D, L = batch
+        ev = evaluator(n)
+        exact = ev.evaluate(D, L, np.full(len(D), -np.inf))
+        assert np.isfinite(exact).all()
+        floors = {
+            "at": exact,
+            "ulp-below": np.nextafter(exact, -np.inf),
+            "ulp-above": np.nextafter(exact, np.inf),
+            "far-below": exact - 1.0 - np.abs(exact),
+        }
+        for name, floor in floors.items():
+            got = ev.evaluate(D, L, floor)
+            beats = exact > floor
+            assert np.array_equal(got[beats], exact[beats]), name
+            assert np.all((got[~beats] == exact[~beats]) | (got[~beats] == -np.inf)), name
+        assert np.all(ev.evaluate(D, L, np.full(len(D), np.inf)) == -np.inf)
+
+    def test_bound_prunes_losing_rows(self):
+        # collapsed cities 2..n leave A_r = 0, so M = diag(mu) and the bound
+        # min(mu) is the score itself: a floor just above it prunes the row
+        n = 5
+        pts = np.zeros((n, 2))
+        pts[0] = (1.0, 0.5)
+        D = inverse._points_dvec(n, pts.ravel()[None])
+        L = np.random.default_rng(0).normal(size=(1, 2 * n - 3))
+        ev = evaluator(n)
+        exact = ev.evaluate(D, L, np.full(1, -np.inf))
+        assert ev.evaluate(D, L, exact + 1e-6 * abs(exact))[0] == -np.inf
+        assert ev.evaluate(D, L, exact - 1e-6 * abs(exact))[0] == exact[0]
+
+
+def reference_search(cfg, k):
+    """One restart alone, one evaluation at a time: +step, then -step, then
+    the next coordinate; the step halves after a sweep with no acceptance.
+    Returns (best score, theta, evaluations made)."""
+    ev = evaluator(cfg.n)
+    theta, scales = inverse._start(cfg, k)
+
+    def score(th):
+        return ev.evaluate(*inverse._split(cfg.n, th[None]), np.full(1, -np.inf))[0]
+
+    best, evals, step = score(theta), 1, 1.0
+    while True:
+        improved = False
+        for c in range(theta.size):
+            for sign in (1.0, -1.0):
+                if evals == cfg.local_iters or step <= inverse.STEP_FLOOR:
+                    return best, theta, evals
+                cand = theta.copy()
+                cand[c] += sign * step * scales[c]
+                s = score(cand)
+                evals += 1
+                if s > best:
+                    theta, best, improved = cand, s, True
+                    break
+        if not improved:
+            step *= 0.5
+
+
+class TestPairedProbes:
+    @pytest.mark.parametrize("step_floor", [inverse.STEP_FLOOR, 1e-3])
+    @pytest.mark.parametrize("local_iters", [1, 2, 3, 500])
+    @pytest.mark.parametrize("n, restarts", [(4, 6), (5, 4), (7, 3)])
+    def test_matches_one_restart_at_a_time(
+        self, monkeypatch, n, restarts, local_iters, step_floor
+    ):
+        monkeypatch.setattr(inverse, "STEP_FLOOR", step_floor)
+        cfg = SearchConfig(n=n, restarts=restarts, local_iters=local_iters, seed=n)
+        scores, thetas = _search_chunk(evaluator(n), cfg, range(restarts))
+        for k in range(restarts):
+            best, theta, evals = reference_search(cfg, k)
+            assert scores[k] == best
+            assert np.array_equal(thetas[k], theta)
+            assert evals == local_iters or (evals < local_iters and step_floor == 1e-3)
+            assert evals == self.evaluations_used(cfg, k)
+
+    @staticmethod
+    def evaluations_used(cfg, k):
+        """Evaluations that _search_chunk makes for restart k alone: the
+        start, every +step, and every -step scored with budget left (a
+        finite floor) after its +step was rejected (score <= floor)."""
+        ev = _FastEvaluator(cfg.n, default_target(cfg.n))
+        used, evaluate = [], ev.evaluate
+
+        def counting(D, L, floor):
+            s = evaluate(D, L, floor)
+            used.append(1 if len(D) == 1 else 1 + int(s[0] <= floor[0] and floor[1] < np.inf))
+            return s
+
+        ev.evaluate = counting
+        _search_chunk(ev, cfg, range(k, k + 1))
+        return sum(used)
+
+
 class TestInverseSearch:
     def test_deterministic_under_seed(self):
         cfg = SearchConfig(restarts=4, local_iters=300, seed=123)
@@ -195,8 +324,8 @@ class TestInverseSearch:
         cfg = SearchConfig(restarts=6, local_iters=500, seed=7)
         trace = []
         best, _ = _search_chunk(ev, cfg, range(6), trace)
-        steps = np.array(trace)  # one row per step, one column per restart
-        assert steps.shape == (499, 6)
+        steps = np.array(trace)  # one row per coordinate step, one column per restart
+        assert steps.shape[1] == 6 and len(steps) <= 499
         assert np.all(np.diff(steps, axis=0) >= 0)
         assert np.any(np.diff(steps, axis=0) > 0, axis=0).all()
         assert np.array_equal(steps[-1], best)
@@ -207,7 +336,7 @@ class TestInverseSearch:
         cfg = SearchConfig(restarts=12, local_iters=2000, seed=4)
         ev = _FastEvaluator(4, target4)
         sizes, evaluate = [], ev.evaluate
-        ev.evaluate = lambda D, L: sizes.append(len(D)) or evaluate(D, L)
+        ev.evaluate = lambda D, L, floor: sizes.append(len(D)) or evaluate(D, L, floor)
         s12, th12 = _search_chunk(ev, cfg, range(12))
         if step_floor == 1e-3:  # restarts left the chunk at different steps
             assert len(set(sizes)) > 2
