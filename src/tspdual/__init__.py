@@ -14,11 +14,8 @@ from .instance import (
     validate_distance_matrix,
 )
 from .formulation import (
-    AssignmentVector,
     QpFormulation,
     build_formulation,
-    check_feasible,
-    decode_assignment,
     encode_tour,
     objective,
 )
@@ -28,6 +25,7 @@ from .reduction import (
     build_index_map,
     embed_tour,
     extract_tour,
+    linear_maps,
     reduce_formulation,
     reduced_objective,
 )

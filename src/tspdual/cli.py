@@ -27,9 +27,10 @@ from .instance import (
     brute_force_optimum,
     load_instance,
     random_euclidean_instance,
+    read_json,
     require_oracle_size,
 )
-from .reduction import reduce_formulation, reduced_to_dict
+from .reduction import linear_maps, reduce_formulation, reduced_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -107,7 +108,7 @@ def config_from_json(tp, value, key: str = ""):
 
 
 def _read_json(path: str | None):
-    return {} if path is None else json.loads(Path(path).read_text())
+    return {} if path is None else read_json(path)
 
 
 def _get_instance(args) -> tuple[str, DistanceMatrix]:
@@ -146,28 +147,12 @@ def cmd_formulate(args) -> int:
 
 
 def _paper_structure_match(d: DistanceMatrix, r) -> bool:
-    # n=4 closed forms: A_r block-tridiagonal in d2, b_r = (-d1; 0; -d1),
-    # E_r the fixed 5x9 binary pattern
-    d1 = d.entries[0, 1:]
-    d2 = d.entries[1:, 1:]
-    z = np.zeros((3, 3))
-    A_expect = np.block([[z, d2, z], [d2, z, d2], [z, d2, z]])
-    b_expect = np.concatenate([-d1, np.zeros(3), -d1])
-    E_expect = np.array(
-        [
-            [1, 1, 1, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 1, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 1, 1, 1],
-            [1, 0, 0, 1, 0, 0, 1, 0, 0],
-            [0, 1, 0, 0, 1, 0, 0, 1, 0],
-        ],
-        dtype=float,
-    )
-    return (
-        np.array_equal(r.A_r, A_expect)
-        and np.array_equal(r.b_r, b_expect)
-        and np.array_equal(r.E_r, E_expect)
-    )
+    # the paper's n=4 closed forms, A_r block-tridiagonal in d2 and
+    # b_r = (-d1; 0; -d1), as reduction.linear_maps writes them for any n
+    a_index, b_map = linear_maps(d.n)
+    dvec = d.entries.ravel()
+    A_expect = np.append(dvec, 0.0)[a_index]
+    return np.array_equal(r.A_r, A_expect) and np.array_equal(r.b_r, b_map @ dvec)
 
 
 def cmd_reduce(args) -> int:
@@ -348,8 +333,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            check_range("seed", args.seed, args.seed >= 0, ">= 0")
         return args.func(args)
-    except (TspdualError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (TspdualError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

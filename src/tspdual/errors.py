@@ -62,6 +62,12 @@ class TriangleViolation(InstanceError):
         )
 
 
+class UnreadableJson(TspdualError):
+    """A JSON file that parses but that Python cannot hold: an integer
+    past the 4300-digit conversion limit, or nesting past the recursion
+    limit."""
+
+
 class DimensionMismatch(TspdualError):
     pass
 

@@ -21,15 +21,6 @@ def flat_index(n: int, city: int, position: int) -> int:
 
 
 @dataclass(frozen=True)
-class AssignmentVector:
-    n: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class QpFormulation:
     """Objective matrix A (n^2 x n^2) and assignment constraints
     C X = e (one city per position), D X = e (one position per city).
@@ -44,22 +35,6 @@ class QpFormulation:
     def __post_init__(self):
         for arr in (self.A, self.C, self.D, self.e):
             arr.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    position_residual: float  # max |C X - e|
-    city_residual: float      # max |D X - e|
-    binary_residual: float    # max |X∘X - X|
-    tol: float
-
-    @property
-    def feasible(self) -> bool:
-        return (
-            self.position_residual <= self.tol
-            and self.city_residual <= self.tol
-            and self.binary_residual <= self.tol
-        )
 
 
 def build_formulation(d: DistanceMatrix) -> QpFormulation:
@@ -84,21 +59,13 @@ def build_formulation(d: DistanceMatrix) -> QpFormulation:
     return QpFormulation(n=n, A=A, C=C, D=D, e=np.ones(n))
 
 
-def encode_tour(t: Tour) -> AssignmentVector:
+def encode_tour(t: Tour) -> np.ndarray:
+    """Binary assignment vector of a tour."""
     n = t.n
     x = np.zeros(n * n)
     for j, city in enumerate(t.order, start=1):
         x[flat_index(n, city, j)] = 1.0
-    return AssignmentVector(n=n, x=x)
-
-
-def decode_assignment(v: AssignmentVector) -> Tour:
-    n = v.n
-    order = []
-    for j in range(1, n + 1):
-        block = v.x[(j - 1) * n:j * n]
-        order.append(int(np.argmax(block)) + 1)
-    return Tour(tuple(order))
+    return x
 
 
 def objective(f: QpFormulation, x) -> float:
@@ -107,19 +74,7 @@ def objective(f: QpFormulation, x) -> float:
     return 0.5 * float(x @ f.A @ x)
 
 
-def check_feasible(f: QpFormulation, x, tol: float = 1e-9) -> FeasibilityReport:
-    x = _as_vector(f, x)
-    return FeasibilityReport(
-        position_residual=float(np.max(np.abs(f.C @ x - f.e))),
-        city_residual=float(np.max(np.abs(f.D @ x - f.e))),
-        binary_residual=float(np.max(np.abs(x * x - x))),
-        tol=tol,
-    )
-
-
 def _as_vector(f: QpFormulation, x) -> np.ndarray:
-    if isinstance(x, AssignmentVector):
-        x = x.x
     x = np.asarray(x, dtype=float)
     if x.shape != (f.n * f.n,):
         raise DimensionMismatch(f"expected length {f.n * f.n}, got shape {x.shape}")

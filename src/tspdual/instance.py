@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
+    UnreadableJson,
 )
 
 MIN_CITIES = 3
@@ -81,27 +82,27 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
     if len(bad):
         i, j = (int(k) for k in bad[0])
         raise NonFiniteDistance(i + 1, j + 1, mat[i, j])
-    for i in range(n):
-        if mat[i, i] != 0.0:
-            raise NonzeroDiagonal(i + 1, mat[i, i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i, j] != mat[j, i]:
-                raise AsymmetricMatrix(i + 1, j + 1, mat[i, j], mat[j, i])
-            if mat[i, j] < 0.0:
-                raise NegativeDistance(i + 1, j + 1, mat[i, j])
+    diagonal = np.flatnonzero(np.diag(mat) != 0.0)
+    if diagonal.size:
+        i = int(diagonal[0])
+        raise NonzeroDiagonal(i + 1, mat[i, i])
+    # pairs i < j in row-major order; asymmetry is reported before sign
+    upper = np.triu_indices(n, 1)
+    bad = np.flatnonzero((mat[upper] != mat.T[upper]) | (mat[upper] < 0.0))
+    if bad.size:
+        i, j = int(upper[0][bad[0]]), int(upper[1][bad[0]])
+        if mat[i, j] != mat[j, i]:
+            raise AsymmetricMatrix(i + 1, j + 1, mat[i, j], mat[j, i])
+        raise NegativeDistance(i + 1, j + 1, mat[i, j])
     if metric:
+        # one row i at a time keeps memory at n^2; with a zero diagonal and
+        # no negative entry, k = i, k = j and i = j never violate
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    if mat[i, j] > mat[i, k] + mat[k, j]:
-                        raise TriangleViolation(
-                            i + 1, j + 1, k + 1, mat[i, j], mat[i, k] + mat[k, j]
-                        )
+            detour = mat[i] + mat.T  # detour[j, k] = d_ik + d_kj
+            bad = np.argwhere(mat[i][:, None] > detour)
+            if len(bad):
+                j, k = (int(v) for v in bad[0])
+                raise TriangleViolation(i + 1, j + 1, k + 1, mat[i, j], detour[j, k])
     return DistanceMatrix(n=n, entries=mat)
 
 
@@ -190,8 +191,20 @@ def points_to_distance_matrix(points: np.ndarray) -> DistanceMatrix:
 
 def load_instance(path) -> tuple[DistanceMatrix, np.ndarray | None]:
     """Read `{"n": int, "d": [row-major reals], "points": optional}` JSON."""
-    payload = json.loads(Path(path).read_text())
-    return instance_from_dict(payload)
+    return instance_from_dict(read_json(path))
+
+
+def read_json(path):
+    """Parsed contents of a JSON file.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError, malformed text json.JSONDecodeError, and JSON that
+    Python cannot hold UnreadableJson."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise UnreadableJson(str(exc)) from None
 
 
 def instance_from_dict(payload) -> tuple[DistanceMatrix, np.ndarray | None]:

@@ -35,6 +35,7 @@ from .reduction import (
     build_reduced_constraints,
     embed_tour,
     extract_tour,
+    linear_maps,
     reduce_formulation,
 )
 
@@ -192,8 +193,9 @@ class _FastEvaluator:
     """Batched score evaluation for the lockstep search loop.
 
     A_r and b_r are linear and homogeneous in the distance entries, so
-    both are precomputed as linear maps over the flattened d by probing
-    the formulation/reduction chain on basis matrices.  Results agree
+    both are read as linear maps over the flattened d from their closed
+    forms in reduction.linear_maps, independent of the formulation and
+    reduction chain that feasibility_score replays.  Results agree
     with feasibility_score to rounding, and each row of a batch is
     bit-identical to the same row evaluated alone: the 0/1 map into A_r
     is a gather, and the other maps of d and lambda go through a stacked
@@ -215,20 +217,12 @@ class _FastEvaluator:
         self.ErT = self.E_r.T
         self.inv_sign = 1.0 / (self.ybar - 0.5)  # +-2
 
-        n2 = n * n
-        T = np.zeros((self.dim * self.dim, n2))
-        B = np.zeros((self.dim, n2))
-        for m in range(n2):
-            basis = np.zeros((n, n))
-            basis[m // n, m % n] = 1.0
-            r = reduce_formulation(build_formulation(DistanceMatrix(n, basis)))
-            T[:, m] = r.A_r.ravel()
-            B[:, m] = r.b_r
-        self.B = B
-        self.TY = (T.reshape(self.dim, self.dim, n2) * self.ybar[None, :, None]).sum(1)
-        # T is 0/1 with at most one nonzero per row: A_r entries are picked
-        # from d, or from a zero column appended at index n2
-        self.T_cols = np.where(T.any(1), T.argmax(1), n2).reshape(self.dim, self.dim)
+        # A_r entries are picked from d, or from a zero column appended at n^2
+        self.T_cols, self.B = linear_maps(n)
+        # TY @ d = A_r @ ybar: per row of A_r, the count of target components
+        # that read each entry of d
+        picks = self.T_cols[:, :, None] == np.arange(n * n)
+        self.TY = (picks * self.ybar[None, :, None]).sum(1)
 
         tours = _target_first_tours(n, self.ybar).astype(np.intp)
         self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()

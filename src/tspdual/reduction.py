@@ -11,6 +11,7 @@ redundant city-n row deleted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,27 @@ def build_reduced_constraints(n: int) -> np.ndarray:
     for i in range(2, n):
         E[(n - 1) + (i - 2), (i - 2)::(n - 1)] = 1.0
     return E
+
+
+@lru_cache(maxsize=None)
+def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms of A_r and b_r as read-only maps of the flattened d,
+    built once per n.  A_r = P (x) d2, with P the path adjacency of
+    positions 2..n and d2 = d[2..n, 2..n]: A_r[a, b] is entry a_index[a, b]
+    of d.ravel() extended by a zero at index n^2.  b_r = b_map @ d.ravel():
+    -(d_i1 + d_1i)/2 in the rows of positions 2 and n, zero elsewhere.
+    """
+    m = n - 1
+    pos, city = np.divmod(np.arange(m * m), m)  # offsets of position and city from 2
+    adjacent = np.abs(pos[:, None] - pos[None, :]) == 1
+    a_index = np.where(adjacent, (city[:, None] + 1) * n + city + 1, n * n)
+    ends = np.flatnonzero((pos == 0) | (pos == m - 1))
+    b_map = np.zeros((m * m, n * n))
+    b_map[ends, (city[ends] + 1) * n] = -0.5  # d_i1
+    b_map[ends, city[ends] + 1] = -0.5        # d_1i
+    a_index.flags.writeable = False
+    b_map.flags.writeable = False
+    return a_index, b_map
 
 
 def embed_tour(idx: IndexMap, t: Tour) -> np.ndarray:

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from tspdual.cli import main
 from tspdual.dual import AscentConfig
 from tspdual.inverse import SearchConfig
 from tspdual.instance import random_euclidean_instance, save_instance
+from tspdual.reduction import reduce_formulation
 
 
 @pytest.fixture
@@ -56,6 +57,24 @@ class TestReduce:
         payload = read_json(out / "reduced.json")
         assert payload["paper_match"] is True
         assert payload["c0"] == 0.0
+
+    # a distance entry and a structural zero of each
+    @pytest.mark.parametrize(
+        "field, entry", [("A_r", (1, 3)), ("A_r", (0, 0)), ("b_r", (2,)), ("b_r", (4,))]
+    )
+    def test_paper_match_sees_one_perturbed_entry(
+        self, tmp_path, monkeypatch, unit_square_file, field, entry
+    ):
+        def perturbed(f):
+            r = reduce_formulation(f)
+            arr = getattr(r, field).copy()
+            arr[entry] += 0.5
+            return replace(r, **{field: arr})
+
+        monkeypatch.setattr(cli, "reduce_formulation", perturbed)
+        out = tmp_path / "out"
+        assert main(["reduce", "--instance", unit_square_file, "--out", str(out)]) == 0
+        assert read_json(out / "reduced.json")["paper_match"] is False
 
     def test_n5_dimensions(self, tmp_path):
         out = tmp_path / "out"
@@ -327,11 +346,47 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, config, key):
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_seed_flag_exits_2(tmp_path, capsys):
-    argv = ["inverse", "--seed", "-1", "--out", str(tmp_path / "o")]
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual", "inverse", "experiment"])
+def test_bad_seed_flag_exits_2(tmp_path, capsys, command):
+    argv = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    assert "config key 'seed'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config key 'seed': must be >= 0, got -1\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_program_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # a ValueError from inside the program is a defect, not bad input: it
+    # must surface with its traceback instead of exiting 2
+    def broken(cfg):
+        raise ValueError("cannot reshape array")
+
+    monkeypatch.setattr(cli.inverse_mod, "inverse_search", broken)
+    with pytest.raises(ValueError, match="cannot reshape array"):
+        main(["inverse", "--out", str(tmp_path / "o")])
+
+
+# (id, file bytes): not UTF-8, an integer past Python's 4300-digit limit,
+# nesting past the recursion limit
+UNREADABLE_JSON = [
+    ("latin-1", '{"n": 3, "note": "caf\xe9"}'.encode("latin-1")),
+    ("long-int", b'{"n": 1' + b"0" * 5000 + b"}"),
+    ("deep", b"[" * 100_000 + b"]" * 100_000),
+]
+
+
+@pytest.mark.parametrize("command", ["reduce", "inverse"])
+@pytest.mark.parametrize(
+    "blob", [case[1] for case in UNREADABLE_JSON], ids=[case[0] for case in UNREADABLE_JSON]
+)
+def test_unreadable_json_file_exits_2(tmp_path, capsys, command, blob):
+    path = tmp_path / "in.json"
+    path.write_bytes(blob)
+    flag = "--instance" if command == "reduce" else "--config"
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce"])

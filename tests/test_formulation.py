@@ -7,8 +7,6 @@ import pytest
 from tspdual.errors import DimensionMismatch
 from tspdual.formulation import (
     build_formulation,
-    check_feasible,
-    decode_assignment,
     encode_tour,
     flat_index,
     objective,
@@ -86,27 +84,27 @@ class TestBuildFormulation:
 
 class TestEncodeTour:
     def test_identity_tour_components(self):
-        v = encode_tour(Tour((1, 2, 3, 4)))
+        x = encode_tour(Tour((1, 2, 3, 4)))
         # 1-based components 1, 6, 11, 16
-        assert list(np.nonzero(v.x)[0]) == [0, 5, 10, 15]
+        assert list(np.nonzero(x)[0]) == [0, 5, 10, 15]
 
     def test_n3_tour(self):
-        v = encode_tour(Tour((3, 1, 2)))
+        x = encode_tour(Tour((3, 1, 2)))
         # 1-based components 3, 4, 8
-        assert list(np.nonzero(v.x)[0]) == [2, 3, 7]
+        assert list(np.nonzero(x)[0]) == [2, 3, 7]
 
     def test_round_trip_all_tours_n4(self):
         for perm in itertools.permutations((1, 2, 3, 4)):
-            assert decode_assignment(encode_tour(Tour(perm))).order == perm
+            blocks = encode_tour(Tour(perm)).reshape(4, 4)  # one row per position
+            assert tuple(int(np.argmax(b)) + 1 for b in blocks) == perm
 
     def test_encoding_is_feasible(self, unit_square):
         f = build_formulation(unit_square)
         for perm in itertools.permutations((1, 2, 3, 4)):
-            rep = check_feasible(f, encode_tour(Tour(perm)))
-            assert rep.position_residual == 0.0
-            assert rep.city_residual == 0.0
-            assert rep.binary_residual == 0.0
-            assert rep.feasible
+            x = encode_tour(Tour(perm))
+            assert np.array_equal(f.C @ x, f.e)
+            assert np.array_equal(f.D @ x, f.e)
+            assert np.array_equal(x * x, x)
 
 
 class TestObjective:
@@ -136,19 +134,3 @@ class TestObjective:
         with pytest.raises(DimensionMismatch):
             objective(f, np.zeros(9))
 
-
-class TestCheckFeasible:
-    def test_uniform_relaxed_point(self, unit_square):
-        f = build_formulation(unit_square)
-        rep = check_feasible(f, np.full(16, 0.25))
-        assert rep.position_residual == 0.0
-        assert rep.city_residual == 0.0
-        assert rep.binary_residual == pytest.approx(0.25 * 0.75, abs=1e-15)
-        assert not rep.feasible
-
-    def test_double_assignment(self, unit_square):
-        f = build_formulation(unit_square)
-        x = encode_tour(Tour((1, 2, 3, 4))).x.copy()
-        x[1] = 1.0  # second city in position 1
-        rep = check_feasible(f, x)
-        assert rep.position_residual == 1.0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspdual.errors import (
+    AsymmetricMatrix,
     DimensionMismatch,
     InstanceError,
     InstanceTooLarge,
@@ -83,6 +84,72 @@ class TestValidation:
     def test_too_small(self):
         with pytest.raises(InstanceError):
             validate_distance_matrix(np.zeros((2, 2)))
+
+
+def loop_validate(mat, metric):
+    """Reference: the entry-by-entry checks validate_distance_matrix made
+    before it was vectorised, in their order (asymmetry before sign on a
+    pair), on a finite square matrix."""
+    n = len(mat)
+    for i in range(n):
+        if mat[i, i] != 0.0:
+            raise NonzeroDiagonal(i + 1, mat[i, i])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mat[i, j] != mat[j, i]:
+                raise AsymmetricMatrix(i + 1, j + 1, mat[i, j], mat[j, i])
+            if mat[i, j] < 0.0:
+                raise NegativeDistance(i + 1, j + 1, mat[i, j])
+    if metric:
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    if mat[i, j] > mat[i, k] + mat[k, j]:
+                        raise TriangleViolation(
+                            i + 1, j + 1, k + 1, mat[i, j], mat[i, k] + mat[k, j]
+                        )
+
+
+@st.composite
+def near_metric_matrices(draw):
+    """Symmetric matrices with a zero diagonal, from a few distances that
+    often break the triangle inequality, then a few corrupted entries."""
+    n = draw(st.integers(3, 6))
+    values = st.sampled_from([0.0, 0.1, 1.0, 1.5, 2.0, 3.0, 2.0 + 1e-15])
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = draw(values)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    corruption = st.tuples(cell, st.sampled_from([-1.0, -0.0, 0.5]), st.booleans())
+    for (i, j), value, both in draw(st.lists(corruption, max_size=3)):
+        mat[i, j] = value
+        if both:
+            mat[j, i] = value
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=near_metric_matrices(), metric=st.booleans())
+def test_validation_matches_loop_reference(mat, metric):
+    try:
+        loop_validate(mat, metric)
+    except InstanceError as exc:
+        expected = exc
+    else:
+        expected = None
+    if expected is None:
+        assert np.array_equal(validate_distance_matrix(mat, metric).entries, mat)
+        return
+    with pytest.raises(type(expected)) as got:
+        validate_distance_matrix(mat, metric)
+    assert str(got.value) == str(expected)
+    for attr in ("pair", "via", "index"):
+        assert getattr(got.value, attr, None) == getattr(expected, attr, None)
 
 
 class TestTourLength:

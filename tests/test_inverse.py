@@ -182,6 +182,21 @@ class TestFeasibilityScore:
             for row, d in zip(fast, ds):
                 assert np.array_equal(row, optimality_margins(d, target))
 
+    def test_fast_evaluator_needs_no_formulation(self, monkeypatch):
+        # the fast maps are closed forms, independent of the replay chain
+        def must_not_run(*args):
+            raise AssertionError("the fast path called the replay chain")
+
+        n = 5
+        d = random_euclidean_instance(n, 3)[0]
+        lam = np.linspace(-1.0, 1.0, 2 * n - 3)
+        expected = feasibility_score(d, default_target(n), lam).score
+        monkeypatch.setattr(inverse, "build_formulation", must_not_run)
+        monkeypatch.setattr(inverse, "reduce_formulation", must_not_run)
+        ev = _FastEvaluator(n, default_target(n))
+        score = ev.evaluate(d.entries.ravel()[None], lam[None], np.full(1, -np.inf))[0]
+        assert score == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
     def test_fast_evaluator_holds_no_dense_tour_rows(self):
         n = 10
         ev = _FastEvaluator(n, default_target(n))

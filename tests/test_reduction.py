@@ -6,11 +6,12 @@ import pytest
 
 from tspdual.errors import TourDoesNotFixCityOne
 from tspdual.formulation import build_formulation, encode_tour, objective
-from tspdual.instance import Tour, random_euclidean_instance
+from tspdual.instance import DistanceMatrix, Tour, random_euclidean_instance
 from tspdual.reduction import (
     build_index_map,
     embed_tour,
     extract_tour,
+    linear_maps,
     reduce_formulation,
     reduced_objective,
     reduced_to_dict,
@@ -80,6 +81,49 @@ class TestReduce:
             assert x @ f.A @ x == pytest.approx(
                 x[idx.perm] @ A_hat @ x[idx.perm], rel=1e-13
             )
+
+
+def probed_maps(n):
+    """Reference for linear_maps: A_r and b_r are linear in d, so reducing
+    the full formulation of each basis matrix reads off one column of each
+    map.  Returns (gather index of A_r with n^2 for a zero, b_r map)."""
+    n2, dim = n * n, (n - 1) ** 2
+    T = np.zeros((dim * dim, n2))
+    B = np.zeros((dim, n2))
+    for m in range(n2):
+        basis = np.zeros((n, n))
+        basis[m // n, m % n] = 1.0
+        r = reduce_formulation(build_formulation(DistanceMatrix(n, basis)))
+        T[:, m] = r.A_r.ravel()
+        B[:, m] = r.b_r
+    assert set(np.unique(T)) <= {0.0, 1.0} and T.sum(1).max() == 1.0
+    return np.where(T.any(1), T.argmax(1), n2).reshape(dim, dim), B
+
+
+class TestLinearMaps:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_equal_the_probed_reduction(self, n):
+        a_index, b_map = linear_maps(n)
+        probed_index, probed_b = probed_maps(n)
+        assert np.array_equal(a_index, probed_index)
+        assert np.array_equal(b_map, probed_b)
+
+    def test_applied_to_d_give_the_reduced_problem(self):
+        for n in (3, 4, 5, 6):
+            d, _ = random_euclidean_instance(n, n + 30)
+            r = reduce_formulation(build_formulation(d))
+            a_index, b_map = linear_maps(n)
+            dvec = d.entries.ravel()
+            assert np.array_equal(np.append(dvec, 0.0)[a_index], r.A_r)
+            assert np.array_equal(b_map @ dvec, r.b_r)
+
+    def test_cached_and_read_only(self):
+        maps = linear_maps(5)
+        assert linear_maps(5) is maps
+        for arr in maps:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
 
 
 class TestEmbedTour:
