@@ -24,13 +24,11 @@ from .reduction import (
     ReducedProblem,
     build_index_map,
     embed_tour,
-    extract_tour,
     linear_maps,
     reduce_formulation,
     reduced_objective,
 )
 from .dual import (
-    AscentConfig,
     AscentResult,
     DualEvaluation,
     DualPoint,

@@ -51,7 +51,6 @@ class ExperimentConfig:
     k: int = 10   # instances per city count
     ns: tuple[int, ...] = (4, 5)
     seed: int = 0
-    ascent: dual_mod.AscentConfig = dual_mod.AscentConfig()
 
     def __post_init__(self):
         check_range("k", self.k, self.k >= 0, ">= 0")
@@ -64,32 +63,26 @@ class ExperimentConfig:
 
 
 def config_from_json(tp, value, key: str = ""):
-    """Build a value of type `tp` from parsed JSON.  Dataclass fields and
-    their types are read from the class itself, recursively; unknown keys,
-    wrong types (a bool is not an int) and out-of-range values raise
-    ConfigError naming the key.  A JSON int is accepted for a float.
+    """Build a value of type `tp` from parsed JSON.  A config is a flat
+    dataclass whose fields and types are read from the class itself;
+    unknown keys, wrong types (a bool is not an int) and out-of-range
+    values raise ConfigError naming the key.
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(
-                key or "config", f"expected a JSON object, got {json.dumps(value)}"
+                "config", f"expected a JSON object, got {json.dumps(value)}"
             )
         hints = typing.get_type_hints(tp)
         names = [f.name for f in fields(tp)]
-        prefix = key + "." if key else ""
         for name in value:
             if name not in names:
                 raise ConfigError(
-                    prefix + name, f"unknown key; accepted keys are {', '.join(names)}"
+                    name, f"unknown key; accepted keys are {', '.join(names)}"
                 )
-        kwargs = {
-            name: config_from_json(hints[name], v, prefix + name)
-            for name, v in value.items()
-        }
-        try:
-            return tp(**kwargs)
-        except ConfigError as exc:
-            raise ConfigError(prefix + exc.key, exc.problem) from None
+        return tp(**{
+            name: config_from_json(hints[name], v, name) for name, v in value.items()
+        })
     if typing.get_origin(tp) is tuple:  # tuple[T, ...]
         if not isinstance(value, list):
             raise ConfigError(key, f"expected a JSON list, got {json.dumps(value)}")
@@ -97,11 +90,6 @@ def config_from_json(tp, value, key: str = ""):
         return tuple(
             config_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value)
         )
-    if tp is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(key, "integer out of float range") from None
     if type(value) is not tp:
         raise ConfigError(key, f"expected {tp.__name__}, got {json.dumps(value)}")
     return value
@@ -169,11 +157,11 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _run_dual(d: DistanceMatrix, cfg: dual_mod.AscentConfig):
+def _run_dual(d: DistanceMatrix):
     """Dual ascent on one instance, checked against the oracle: returns
     (ascent result, oracle optimum, verdict, gap)."""
     r = reduce_formulation(build_formulation(d))
-    result = dual_mod.dual_ascent(r, cfg=cfg)
+    result = dual_mod.dual_ascent(r)
     oracle = brute_force_optimum(d)
     verdict = dual_mod.verify_global(r, result.best_point, oracle)
     return result, oracle.best_length, verdict, oracle.best_length - result.best_value
@@ -191,10 +179,9 @@ def _report_confirmation(where: str) -> int:
 def cmd_dual(args) -> int:
     instance_id, d = _get_instance(args)
     require_oracle_size(d.n)  # before the ascent and before any file is written
-    cfg = config_from_json(dual_mod.AscentConfig, _read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result, optimum, verdict, gap = _run_dual(d, cfg)
+    result, optimum, verdict, gap = _run_dual(d)
 
     lines = ["iteration,g,gradient_norm,min_eig"]
     for it, (g, gn, lo) in enumerate(result.trajectory):
@@ -213,10 +200,7 @@ def cmd_dual(args) -> int:
             "iterations": result.iterations,
             "termination": result.termination.value,
             "verdict": verdict.value,
-            "config": {
-                **_effective_instance_config(args, instance_id),
-                "ascent": asdict(cfg),
-            },
+            "config": _effective_instance_config(args, instance_id),
         },
     )
     if verdict is dual_mod.Verdict.ConfirmsTheorem2:
@@ -259,7 +243,7 @@ def cmd_experiment(args) -> int:
             inst_seed = cfg.seed + i
             instance_id = f"euclidean-n{n}-seed{inst_seed}"
             d, _ = random_euclidean_instance(n, inst_seed)
-            result, optimum, verdict, gap = _run_dual(d, cfg.ascent)
+            result, optimum, verdict, gap = _run_dual(d)
             gaps.append(gap)
             if verdict is dual_mod.Verdict.ConfirmsTheorem2:
                 confirmed.append(instance_id)
@@ -315,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("dual", help="run dual ascent, write trace and gap record")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("inverse", help="run the inverse feasibility search")

@@ -20,13 +20,21 @@ from .errors import (
     DimensionMismatch,
     NotDualFeasible,
     StartNotDualFeasible,
-    check_range,
 )
 from .instance import OracleResult
 from .reduction import ReducedProblem, reduced_objective
 
 PD_TOLERANCE = 1e-10
 BINARY_TOLERANCE = 1e-6
+
+# dual_ascent's settings; no caller varies them, and default ascents stop
+# after a few hundred iterations, well short of MAX_ITER
+GTOL = 1e-8          # gradient norm that ends the ascent
+FTOL = 1e-12         # an accepted step gaining less than this counts as a stall
+MAX_ITER = 10_000
+STALL_ITERS = 10     # consecutive stalls that end the ascent
+INITIAL_STEP = 1.0
+MIN_STEP = 1e-18     # backtracking gives up below this step
 
 
 @dataclass(frozen=True)
@@ -70,26 +78,6 @@ class Verdict(Enum):
     ConfirmsTheorem2 = "ConfirmsTheorem2"
 
 
-@dataclass(frozen=True)
-class AscentConfig:
-    gtol: float = 1e-8
-    ftol: float = 1e-12
-    max_iter: int = 10_000
-    stall_iters: int = 10
-    initial_step: float = 1.0
-    min_step: float = 1e-18
-
-    def __post_init__(self):
-        for key in ("gtol", "ftol"):
-            v = getattr(self, key)
-            check_range(key, v, math.isfinite(v) and v >= 0, "finite and >= 0")
-        for key in ("initial_step", "min_step"):
-            v = getattr(self, key)
-            check_range(key, v, math.isfinite(v) and v > 0, "finite and > 0")
-        check_range("max_iter", self.max_iter, self.max_iter >= 0, ">= 0")
-        check_range("stall_iters", self.stall_iters, self.stall_iters >= 1, ">= 1")
-
-
 @dataclass
 class AscentResult:
     best_point: DualPoint
@@ -122,29 +110,40 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 
 def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
-    """Strict positive definiteness of the shifted matrix: a Cholesky
-    attempt plus the smallest eigenvalue against PD_TOLERANCE.
+    """Strict positive definiteness of the shifted matrix: finite entries,
+    a Cholesky attempt, and the smallest eigenvalue against PD_TOLERANCE.
     """
-    return _positive_definite(assemble(r, p)[0])
+    failure, lo = _cone_failure(assemble(r, p)[0])
+    return failure is None, lo
 
 
-def _positive_definite(A_mat: np.ndarray) -> tuple[bool, float]:
+def _cone_failure(A_mat: np.ndarray) -> tuple[str | None, float]:
+    """The test of dual_feasible that A_mat fails (None if it passes), and
+    its smallest eigenvalue (nan if an entry is not finite)."""
+    if not np.isfinite(A_mat).all():
+        return "shifted matrix has a non-finite entry", math.nan
+    lo = min_eigenvalue(A_mat)
     try:
         np.linalg.cholesky(A_mat)
-        factorizable = True
     except np.linalg.LinAlgError:
-        factorizable = False
-    lo = min_eigenvalue(A_mat)
-    return factorizable and lo > PD_TOLERANCE, lo
+        return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
+    if lo <= PD_TOLERANCE:
+        return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
+    return None, lo
 
 
 def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
     """Dual function value, recovered minimizer, and its gradient."""
     A_mat, b_vec = assemble(r, p)
-    in_plus, lo = _positive_definite(A_mat)
-    if not in_plus:
-        raise NotDualFeasible(f"min eigenvalue {lo!r} <= {PD_TOLERANCE}")
-    y = np.linalg.solve(A_mat, b_vec)
+    failure, lo = _cone_failure(A_mat)
+    if failure is not None:
+        raise NotDualFeasible(failure)
+    try:
+        y = np.linalg.solve(A_mat, b_vec)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        y = None
+    if y is None or not np.isfinite(y).all():  # singular to working precision
+        raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
     value = -0.5 * float(b_vec @ y) - float(np.sum(p.lam))
     return DualEvaluation(
         value=value,
@@ -163,11 +162,7 @@ def default_start(r: ReducedProblem) -> DualPoint:
     return point(np.zeros(r.n_multipliers), mu)
 
 
-def dual_ascent(
-    r: ReducedProblem,
-    start: DualPoint | None = None,
-    cfg: AscentConfig = AscentConfig(),
-) -> AscentResult:
+def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResult:
     """Projected gradient ascent with backtracking; trial steps leaving
     the positive-definite cone are rejected and halved, so accepted
     iterates only ever improve the dual value.
@@ -176,21 +171,21 @@ def dual_ascent(
     try:
         ev = dual_value(r, p)
     except NotDualFeasible as exc:
-        raise StartNotDualFeasible(f"start has {exc}") from None
+        raise StartNotDualFeasible(f"start is not dual feasible: {exc}") from None
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
-    step = cfg.initial_step
+    step = INITIAL_STEP
     stall = 0
     termination = Termination.IterationCap
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        if ev.grad_norm < cfg.gtol:
+    for iterations in range(1, MAX_ITER + 1):
+        if ev.grad_norm < GTOL:
             termination = Termination.GradientSmall
             iterations -= 1
             break
         accepted = False
         left_cone = False
         t = step
-        while t >= cfg.min_step:
+        while t >= MIN_STEP:
             cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
             try:
                 cand_ev = dual_value(r, cand)
@@ -210,9 +205,9 @@ def dual_ascent(
                 Termination.LeftCone if left_cone else Termination.Stalled
             )
             break
-        if trajectory[-1][0] - trajectory[-2][0] < cfg.ftol:
+        if trajectory[-1][0] - trajectory[-2][0] < FTOL:
             stall += 1
-            if stall >= cfg.stall_iters:
+            if stall >= STALL_ITERS:
                 termination = Termination.Stalled
                 break
         else:

@@ -86,7 +86,3 @@ class NotDualFeasible(TspdualError):
 
 class StartNotDualFeasible(TspdualError):
     pass
-
-
-class InfeasibleTarget(TspdualError):
-    pass

@@ -69,8 +69,9 @@ class OracleResult:
 
 
 def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
-    """Check finiteness, symmetry, nonnegativity, zero diagonal, and
-    (optionally) the triangle inequality; returns the validated matrix.
+    """Check finiteness, zero diagonal, symmetry, nonnegativity, a finite
+    total, and (optionally) the triangle inequality; returns the validated
+    matrix.
     """
     mat = np.array(entries, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -94,6 +95,14 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
         if mat[i, j] != mat[j, i]:
             raise AsymmetricMatrix(i + 1, j + 1, mat[i, j], mat[j, i])
         raise NegativeDistance(i + 1, j + 1, mat[i, j])
+    # entries are >= 0, so a finite total bounds every sum the program forms
+    # of them: tour lengths, twice a tour length, and d_i1 + d_1i
+    with np.errstate(over="ignore"):
+        total = mat.sum()
+    if not np.isfinite(total):
+        raise InstanceError(
+            "the distances sum past the float64 range, so tour lengths could overflow"
+        )
     if metric:
         # one row i at a time keeps memory at n^2; with a zero diagonal and
         # no negative entry, k = i, k = j and i = j never violate

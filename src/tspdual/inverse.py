@@ -17,14 +17,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InfeasibleTarget, check_range
+from .errors import check_range
 from .dual import PD_TOLERANCE, min_eigenvalue, point, dual_feasible
 from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
     DistanceMatrix,
     Tour,
-    canonical_tour,
     canonical_tours,
     tour_lengths,
     validate_distance_matrix,
@@ -34,7 +33,6 @@ from .reduction import (
     build_index_map,
     build_reduced_constraints,
     embed_tour,
-    extract_tour,
     linear_maps,
     reduce_formulation,
 )
@@ -97,32 +95,35 @@ class InverseSearchReport:
         return payload
 
 
-def eliminate_mu(r: ReducedProblem, ybar: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def default_target(n: int) -> np.ndarray:
+    """Embedding of the identity tour (1, 2, ..., n), row 0 of
+    canonical_tours(n): the target Y-bar of the search."""
+    return embed_tour(build_index_map(n), Tour(tuple(range(1, n + 1))))
+
+
+def eliminate_mu(r: ReducedProblem, lam: np.ndarray) -> np.ndarray:
     """Closed-form mu from the stationarity system at the target Y-bar:
     mu_i (Ybar_i - 1/2) = b_ri - [A_r Ybar]_i - [E_r^T lam]_i.
     """
-    ybar = np.asarray(ybar, dtype=float)
-    _require_target(r.E_r, ybar)
+    ybar = default_target(r.n)
     rhs = r.b_r - r.A_r @ ybar - r.E_r.T @ np.asarray(lam, dtype=float)
     return rhs / (ybar - 0.5)
 
 
-def stationarity_residual(
-    r: ReducedProblem, ybar: np.ndarray, lam: np.ndarray, mu: np.ndarray
-) -> float:
+def stationarity_residual(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> float:
+    ybar = default_target(r.n)
     lhs = (r.A_r + np.diag(mu)) @ ybar
     rhs = r.b_r + 0.5 * mu - r.E_r.T @ lam
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def optimality_margins(d: DistanceMatrix, ybar: np.ndarray) -> np.ndarray:
+def optimality_margins(d: DistanceMatrix) -> np.ndarray:
     """Tour-length gap of every other canonical tour (in table order)
-    against the target's tour.  All margins strictly positive means the
-    target is the unique optimum; at n=4 this yields two inequalities.
+    against the target, the identity tour in row 0.  All margins strictly
+    positive means the target is the unique optimum; at n=4 this yields
+    two inequalities.
     """
-    ybar = np.asarray(ybar, dtype=float)
-    _require_target(build_reduced_constraints(d.n), ybar)
-    lengths = tour_lengths(d, _target_first_tours(d.n, ybar))
+    lengths = tour_lengths(d, canonical_tours(d.n))
     return lengths[1:] - lengths[0]
 
 
@@ -153,20 +154,20 @@ class ScoreBreakdown:
     mu: np.ndarray
     margins: np.ndarray
     edm_violations: float
+    stationarity_residual: float
 
 
-def feasibility_score(
-    d: DistanceMatrix, ybar: np.ndarray, lam: np.ndarray
-) -> ScoreBreakdown:
+def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     """Scalar search objective via the full formulation/reduction chain:
     smallest eigenvalue of A_r + diag(mu), penalized by optimality-margin
-    and EDM violations.
+    and EDM violations; also the stationarity residual of (lam, mu) on the
+    same reduced problem.
     """
     r = reduce_formulation(build_formulation(d))
-    mu = eliminate_mu(r, ybar, lam)
+    mu = eliminate_mu(r, lam)
     lo = min_eigenvalue(r.A_r + np.diag(mu))
     _check_pd_implies_positive_mu(lo, mu)
-    margins = optimality_margins(d, ybar)
+    margins = optimality_margins(d)
     edm = edm_violations(d)
     violation = float(np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins))) + edm
     return ScoreBreakdown(
@@ -175,6 +176,7 @@ def feasibility_score(
         mu=mu,
         margins=margins,
         edm_violations=edm,
+        stationarity_residual=stationarity_residual(r, lam, mu),
     )
 
 
@@ -208,12 +210,11 @@ class _FastEvaluator:
     transposed strides, and the penalty's last bits then move at n >= 9.
     """
 
-    def __init__(self, n: int, ybar: np.ndarray):
+    def __init__(self, n: int):
         self.n = n
         self.dim = (n - 1) ** 2
-        self.ybar = np.asarray(ybar, dtype=float)
+        self.ybar = default_target(n)
         self.E_r = build_reduced_constraints(n)
-        _require_target(self.E_r, self.ybar)
         self.ErT = self.E_r.T
         self.inv_sign = 1.0 / (self.ybar - 0.5)  # +-2
 
@@ -224,7 +225,7 @@ class _FastEvaluator:
         picks = self.T_cols[:, :, None] == np.arange(n * n)
         self.TY = (picks * self.ybar[None, :, None]).sum(1)
 
-        tours = _target_first_tours(n, self.ybar).astype(np.intp)
+        tours = canonical_tours(n).astype(np.intp)
         self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()
 
         i, j, k = np.array(list(itertools.permutations(range(n), 3))).T
@@ -272,19 +273,6 @@ class _FastEvaluator:
         _check_pd_implies_positive_mu(lo, mu[solve])
         scores[solve] = lo - penalty[solve]
         return scores
-
-
-def _require_target(E_r: np.ndarray, ybar: np.ndarray) -> None:
-    if np.max(np.abs(ybar * ybar - ybar)) > 0 or np.max(np.abs(E_r @ ybar - 1.0)) > 0:
-        raise InfeasibleTarget("target Y must be binary with E_r Y = e")
-
-
-def _target_first_tours(n: int, ybar: np.ndarray) -> np.ndarray:
-    """canonical_tours(n) with the target's tour moved to row 0."""
-    tours = canonical_tours(n)
-    order = canonical_tour(extract_tour(build_index_map(n), ybar)).order
-    t = int(np.flatnonzero((tours == np.subtract(order, 1)).all(1))[0])
-    return np.concatenate([tours[t:t + 1], np.delete(tours, t, axis=0)])
 
 
 def _points_dvec(n: int, coords: np.ndarray) -> np.ndarray:
@@ -354,11 +342,6 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
     return best, theta
 
 
-def default_target(n: int) -> np.ndarray:
-    """Embedding of the identity tour (1, 2, ..., n)."""
-    return embed_tour(build_index_map(n), Tour(tuple(range(1, n + 1))))
-
-
 def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     """Multistart maximization of the feasibility score at the identity
     tour; reports the best candidate found and whether it constitutes a
@@ -366,8 +349,7 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     2..n, so fixing the target loses no instance.
     """
     n = cfg.n
-    ybar = default_target(n)
-    ev = _FastEvaluator(n, ybar)
+    ev = _FastEvaluator(n)
     # each restart scores two rows (+step and -step) per lockstep step
     chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // (2 * ev.edges.size)))
     scores, thetas = map(np.concatenate, zip(*(
@@ -381,9 +363,8 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     D, L = _split(n, thetas[best_k:best_k + 1])
     dvec, lam = D[0], L[0]
     d = DistanceMatrix(n, dvec.reshape(n, n))
-    breakdown = feasibility_score(d, ybar, lam)
-    r, mu = reduce_formulation(build_formulation(d)), breakdown.mu
-    residual = stationarity_residual(r, ybar, lam, mu)
+    breakdown = feasibility_score(d, lam)
+    mu, residual = breakdown.mu, breakdown.stationarity_residual
 
     verdict = "NoFeasiblePointFound"
     if (
@@ -399,7 +380,7 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
             reduce_formulation(build_formulation(d_checked)),
             point(lam, mu),
         )
-        replay_margins = optimality_margins(d_checked, ybar)
+        replay_margins = optimality_margins(d_checked)
         if in_plus and np.all(replay_margins > 0):
             verdict = "FeasibleCounterexample"
 

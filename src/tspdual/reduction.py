@@ -133,16 +133,6 @@ def embed_tour(idx: IndexMap, t: Tour) -> np.ndarray:
     return y
 
 
-def extract_tour(idx: IndexMap, y: np.ndarray) -> Tour:
-    """Inverse of embed_tour for binary feasible Y."""
-    n = idx.n
-    order = [1]
-    for j in range(2, n + 1):
-        block = y[(j - 2) * (n - 1):(j - 1) * (n - 1)]
-        order.append(int(np.argmax(block)) + 2)
-    return Tour(tuple(order))
-
-
 def reduced_objective(r: ReducedProblem, y) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (r.dim,):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tspdual import cli
 from tspdual.cli import main
-from tspdual.dual import AscentConfig
 from tspdual.inverse import SearchConfig
 from tspdual.instance import random_euclidean_instance, save_instance
 from tspdual.reduction import reduce_formulation
@@ -113,6 +112,21 @@ class TestDual:
         assert (out1 / "gap_record.json").read_bytes() == (out2 / "gap_record.json").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    def test_huge_distances_end_without_traceback(self, tmp_path, capsys):
+        # the sum is finite, but Y overflows at this scale; a non-finite Y
+        # or shifted matrix counts as outside the cone, never as a result
+        n = 6
+        d = [0.0 if i == j else 1e300 * (1 + 0.1 * ((i + j) % 3))
+             for i in range(n) for j in range(n)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "d": d}))
+        out = tmp_path / "out"
+        assert main(["dual", "--instance", str(path), "--out", str(out)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if (out / "gap_record.json").exists():
+            text = (out / "gap_record.json").read_text()
+            assert "Infinity" not in text and "NaN" not in text
+
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
 def test_non_finite_instance_rejected(tmp_path, capsys, command):
@@ -146,6 +160,8 @@ BAD_INSTANCES = [
     ("d-string-entry", json.dumps({"n": 3, "d": [0, "1"] + TRIANGLE[2:]}), "'d[1]'"),
     ("d-inf", '{"n": 3, "d": [0, 1e400, 1, 1, 0, 1, 1, 1, 0]}', "d[1,2]"),
     ("d-huge-int", '{"n": 3, "d": [0, 1%s, 1, 1, 0, 1, 1, 1, 0]}' % ("0" * 400), "'d'"),
+    ("d-sum-overflow", json.dumps({"n": 4, "d": [0 if i % 5 == 0 else 8e307 for i in range(16)]}),
+     "float64 range"),
     ("points-short", json.dumps({"n": 3, "d": TRIANGLE, "points": [[0, 0]]}), "'points'"),
     ("points-string", json.dumps({"n": 3, "d": TRIANGLE, "points": "abc"}), "'points'"),
     ("point-short", json.dumps({"n": 3, "d": TRIANGLE, "points": CORNERS[:2] + [[0]]}),
@@ -310,20 +326,8 @@ BAD_CONFIGS = [
     ("inverse", {"parameterization": "points"}, "parameterization"),
     ("inverse", {"parameterization": "direct"}, "parameterization"),
     ("inverse", {"max_iter": "5"}, "max_iter"),
-    ("dual", {"max_iter": "5"}, "max_iter"),
-    ("dual", {"max_iter": -1}, "max_iter"),
-    ("dual", {"stall_iters": 0}, "stall_iters"),
-    ("dual", {"initial_step": 0}, "initial_step"),
-    ("dual", {"min_step": -1e-18}, "min_step"),
-    ("dual", {"initial_step": float("nan")}, "initial_step"),
-    ("dual", {"gtol": -1e-8}, "gtol"),
-    ("dual", {"ftol": float("inf")}, "ftol"),
-    ("dual", {"gtol": 10**400}, "gtol"),
-    ("dual", {"restarts": 3}, "restarts"),
     ("experiment", {"asent": {}}, "asent"),
-    ("experiment", {"ascent": []}, "ascent"),
-    ("experiment", {"ascent": {"max_iter": -1}}, "ascent.max_iter"),
-    ("experiment", {"ascent": {"maxiter": 5}}, "ascent.maxiter"),
+    ("experiment", {"ascent": {}}, "ascent"),
     ("experiment", {"ns": "45"}, "ns"),
     ("experiment", {"ns": [4.7]}, "ns[0]"),
     ("experiment", {"ns": [4, 11]}, "ns[1]"),
@@ -389,33 +393,26 @@ def test_unreadable_json_file_exits_2(tmp_path, capsys, command, blob):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["formulate", "reduce"])
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
 def test_config_flag_rejected_where_unused(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", "cfg.json", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
 
 
-def test_int_accepted_for_float_field(tmp_path):
-    assert run_with_config(tmp_path, "dual", {"initial_step": 1, "max_iter": 3}) == 0
-    text = (tmp_path / "o" / "gap_record.json").read_text()
-    assert '"initial_step": 1.0' in text
-
-
 # fast valid settings first, so the drawn keys decide whether a run is valid;
 # integer draws stay small so that valid runs take milliseconds
 FAST_BASE = {
     "inverse": {"restarts": 1, "local_iters": 3},
-    "dual": {"max_iter": 3},
-    "experiment": {"k": 1, "ns": [3], "ascent": {"max_iter": 3}},
+    "experiment": {"k": 1, "ns": [3]},
 }
-ASCENT_KEYS = ["gtol", "ftol", "max_iter", "stall_iters", "initial_step", "min_step"]
 FUZZ_KEYS = {
     "inverse": ["n", "restarts", "local_iters", "seed"],
-    "dual": ASCENT_KEYS,
-    "experiment": ["k", "ns", "seed", "ascent"],
+    "experiment": ["k", "ns", "seed"],
 }
-UNKNOWN_KEYS = ["restart", "jobs", "lambda_box_factor", "parameterization", "asent"]
+UNKNOWN_KEYS = [
+    "restart", "jobs", "lambda_box_factor", "parameterization", "asent", "ascent", "max_iter"
+]
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -466,10 +463,9 @@ def readme_key_table(heading):
     "heading, tp",
     [
         ("`inverse` (search config)", SearchConfig),
-        ("`dual` (ascent config)", AscentConfig),
         ("`experiment` (gap sweep", cli.ExperimentConfig),
     ],
-    ids=["inverse", "dual", "experiment"],
+    ids=["inverse", "experiment"],
 )
 def test_readme_config_table_matches_fields(heading, tp):
     rows = readme_key_table(heading)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from _helpers import sample_splus
+from tspdual import dual
 from tspdual.dual import (
-    AscentConfig,
     Termination,
     Verdict,
     assemble,
@@ -21,6 +21,7 @@ from tspdual.errors import (
 )
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
+    DistanceMatrix,
     OracleResult,
     Tour,
     brute_force_optimum,
@@ -108,6 +109,22 @@ class TestDualValue:
     def test_rejects_infeasible(self, reduced):
         with pytest.raises(NotDualFeasible):
             dual_value(reduced, point(np.zeros(5), np.zeros(9)))
+
+    @pytest.mark.parametrize(
+        "shift, failure",
+        [
+            (np.inf, "non-finite entry"),
+            (-2.0, "Cholesky factorization failed"),
+            (-1.0 + 1e-12, "min eigenvalue 9.999778782798785e-13 <= 1e-10"),
+        ],
+        ids=["non-finite", "cholesky", "eigenvalue"],
+    )
+    def test_rejection_names_the_failed_test(self, identity_fixture, shift, failure):
+        r, _ = identity_fixture  # A_r = I, so the shifted matrix is (1 + shift) I
+        p = point(np.zeros(5), np.full(9, shift))
+        assert not dual_feasible(r, p)[0]
+        with pytest.raises(NotDualFeasible, match=failure):
+            dual_value(r, p)
 
     def test_large_uniform_mu_bound(self, reduced):
         # the value is nonpositive and bounded by the quadratic-form bound
@@ -217,8 +234,26 @@ class TestDualAscent:
         with pytest.raises(StartNotDualFeasible):
             dual_ascent(reduced, start=point(np.zeros(5), np.zeros(9)))
 
-    def test_iteration_cap(self, reduced):
-        res = dual_ascent(reduced, cfg=AscentConfig(max_iter=3))
+    @pytest.mark.parametrize(
+        "n, seed, scale, failure",
+        [
+            # the start's +1 shift rounds away: Cholesky fails although
+            # eigvalsh reports a positive eigenvalue
+            (6, 1, 1e17, "Cholesky factorization failed"),
+            # the start is singular to working precision: a zero pivot
+            (5, 1, 1e300, "the solve for Y broke down"),
+        ],
+        ids=["cholesky", "solve"],
+    )
+    def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure):
+        d, _ = random_euclidean_instance(n, seed)
+        r = reduce_formulation(build_formulation(DistanceMatrix(n, scale * d.entries)))
+        with pytest.raises(StartNotDualFeasible, match="start is not dual feasible: " + failure):
+            dual_ascent(r)
+
+    def test_iteration_cap(self, reduced, monkeypatch):
+        monkeypatch.setattr(dual, "MAX_ITER", 3)
+        res = dual_ascent(reduced)
         assert res.iterations == 3
         assert res.termination is Termination.IterationCap
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tspdual import inverse
 from tspdual.cli import main
-from tspdual.errors import ConfigError, InfeasibleTarget
+from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
     DistanceMatrix,
@@ -37,61 +37,53 @@ SQRT2 = math.sqrt(2.0)
 
 @lru_cache(maxsize=None)
 def evaluator(n):
-    return _FastEvaluator(n, default_target(n))
+    return _FastEvaluator(n)
 
 
-@pytest.fixture
-def target4():
-    return default_target(4)
+@pytest.mark.parametrize("n", range(4, 11))
+def test_target_is_identity_tour_in_row_0(n):
+    assert np.array_equal(canonical_tours(n)[0], np.arange(n))
+    # Y is position-major: block j - 2 holds cities 2..n at position j
+    assert np.array_equal(default_target(n).reshape(n - 1, n - 1), np.eye(n - 1))
 
 
 class TestEliminateMu:
-    def test_closed_form_rows(self, distinct_d4, target4):
+    def test_closed_form_rows(self, distinct_d4):
         # row 2 (target component 0): mu2 = 2(d13 + lam1 + lam5)
         # row 5 (target component 1): mu5 = -2(d32 + d34 + lam2 + lam5)
         r = reduce_formulation(build_formulation(distinct_d4))
         lam = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        mu = eliminate_mu(r, target4, lam)
+        mu = eliminate_mu(r, lam)
         d = distinct_d4
         assert mu[1] == pytest.approx(2 * (d.d(1, 3) + lam[0] + lam[4]), abs=1e-12)
         assert mu[4] == pytest.approx(
             -2 * (d.d(3, 2) + d.d(3, 4) + lam[1] + lam[4]), abs=1e-12
         )
 
-    def test_stationarity_by_construction(self, target4):
+    def test_stationarity_by_construction(self):
         rng = np.random.default_rng(0)
         for seed in range(100):
             d, _ = random_euclidean_instance(4, seed)
             r = reduce_formulation(build_formulation(d))
             lam = rng.normal(scale=5.0, size=5)
-            mu = eliminate_mu(r, target4, lam)
-            assert stationarity_residual(r, target4, lam, mu) <= 1e-12
-
-    def test_rejects_infeasible_target(self, unit_square):
-        r = reduce_formulation(build_formulation(unit_square))
-        bad = np.ones(9)
-        with pytest.raises(InfeasibleTarget):
-            eliminate_mu(r, bad, np.zeros(5))
+            mu = eliminate_mu(r, lam)
+            assert stationarity_residual(r, lam, mu) <= 1e-12
 
 
 class TestOptimalityMargins:
-    def test_unit_square(self, unit_square, target4):
-        margins = optimality_margins(unit_square, target4)
+    def test_unit_square(self, unit_square):
+        margins = optimality_margins(unit_square)
         assert margins.shape == (2,)
         assert margins == pytest.approx([2 * SQRT2 - 2, 2 * SQRT2 - 2], abs=1e-12)
         assert np.all(margins > 0)
 
-    def test_all_equal_distances(self, target4):
+    def test_all_equal_distances(self):
         d = validate_distance_matrix(np.ones((4, 4)) - np.eye(4))
-        margins = optimality_margins(d, target4)
+        margins = optimality_margins(d)
         assert np.array_equal(margins, np.zeros(2))
 
-    def test_margin_count_is_two_at_n4(self, distinct_d4, target4):
-        assert optimality_margins(distinct_d4, target4).shape == (2,)
-
-    def test_rejects_infeasible_target(self, unit_square):
-        with pytest.raises(InfeasibleTarget):
-            optimality_margins(unit_square, np.zeros(9))
+    def test_margin_count_is_two_at_n4(self, distinct_d4):
+        assert optimality_margins(distinct_d4).shape == (2,)
 
 
 class TestEdmViolations:
@@ -110,17 +102,17 @@ class TestEdmViolations:
 
 
 class TestFeasibilityScore:
-    def test_deterministic(self, unit_square, target4):
-        a = feasibility_score(unit_square, target4, np.zeros(5))
-        b = feasibility_score(unit_square, target4, np.zeros(5))
+    def test_deterministic(self, unit_square):
+        a = feasibility_score(unit_square, np.zeros(5))
+        b = feasibility_score(unit_square, np.zeros(5))
         assert a.score == b.score
         assert a.min_eig == b.min_eig
 
-    def test_assembled_matrix_structure(self, distinct_d4, target4):
+    def test_assembled_matrix_structure(self, distinct_d4):
         # diagonal is exactly mu; off-diagonal pattern is the block display
         r = reduce_formulation(build_formulation(distinct_d4))
         lam = np.array([1.0, -2.0, 0.5, 3.0, -1.5])
-        mu = eliminate_mu(r, target4, lam)
+        mu = eliminate_mu(r, lam)
         M = r.A_r + np.diag(mu)
         assert np.array_equal(np.diag(M), mu)
         d = distinct_d4
@@ -129,22 +121,15 @@ class TestFeasibilityScore:
         assert M[8, 3] == d.d(4, 2) and M[8, 4] == d.d(4, 3)
         assert M[0, 1] == 0.0 and M[0, 8] == 0.0
 
-    def test_homogeneity(self, target4):
+    def test_homogeneity(self):
         d, _ = random_euclidean_instance(4, 4)
         lam = np.array([0.2, -0.8, 1.1, 0.0, 0.5])
-        base = feasibility_score(d, target4, lam)
+        base = feasibility_score(d, lam)
         c = 3.5
-        scaled = feasibility_score(
-            DistanceMatrix(4, c * d.entries), target4, c * lam
-        )
-        base_mu = eliminate_mu(
-            reduce_formulation(build_formulation(d)), target4, lam
-        )
+        scaled = feasibility_score(DistanceMatrix(4, c * d.entries), c * lam)
+        base_mu = eliminate_mu(reduce_formulation(build_formulation(d)), lam)
         scaled_mu = eliminate_mu(
-            reduce_formulation(
-                build_formulation(DistanceMatrix(4, c * d.entries))
-            ),
-            target4,
+            reduce_formulation(build_formulation(DistanceMatrix(4, c * d.entries))),
             c * lam,
         )
         assert scaled_mu == pytest.approx(c * base_mu, rel=1e-12)
@@ -155,32 +140,28 @@ class TestFeasibilityScore:
         # bit for bit, so a restart's score cannot depend on its batch
         rng = np.random.default_rng(6)
         for n in (4, 7):
-            target = default_target(n)
-            ev = _FastEvaluator(n, target)
+            ev = _FastEvaluator(n)
             ds = [random_euclidean_instance(n, seed)[0] for seed in range(20)]
             D = np.array([d.entries.ravel() for d in ds])
             L = rng.normal(scale=3.0, size=(20, 2 * n - 3))
             fast = ev.evaluate(D, L, np.full(20, -np.inf))
             assert fast.shape == (20,)
             for r, d in enumerate(ds):
-                full = feasibility_score(d, target, L[r])
+                full = feasibility_score(d, L[r])
                 assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
                 assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == fast[r]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_fast_margins_equal_replay_margins(self, n):
-        # the identity tour is row 0 of the table; the other target is not
         rng = np.random.default_rng(n)
-        swapped = Tour((1, 3, 2) + tuple(range(4, n + 1)))
-        for target in (default_target(n), embed_tour(build_index_map(n), swapped)):
-            ev = _FastEvaluator(n, target)
-            ds = [random_euclidean_instance(n, seed)[0] for seed in range(4)]
-            mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
-            ds.append(validate_distance_matrix(mat + mat.T))  # non-metric
-            fast = ev.margins(np.array([d.entries.ravel() for d in ds]))
-            assert fast.flags.c_contiguous
-            for row, d in zip(fast, ds):
-                assert np.array_equal(row, optimality_margins(d, target))
+        ev = _FastEvaluator(n)
+        ds = [random_euclidean_instance(n, seed)[0] for seed in range(4)]
+        mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+        ds.append(validate_distance_matrix(mat + mat.T))  # non-metric
+        fast = ev.margins(np.array([d.entries.ravel() for d in ds]))
+        assert fast.flags.c_contiguous
+        for row, d in zip(fast, ds):
+            assert np.array_equal(row, optimality_margins(d))
 
     def test_fast_evaluator_needs_no_formulation(self, monkeypatch):
         # the fast maps are closed forms, independent of the replay chain
@@ -190,16 +171,16 @@ class TestFeasibilityScore:
         n = 5
         d = random_euclidean_instance(n, 3)[0]
         lam = np.linspace(-1.0, 1.0, 2 * n - 3)
-        expected = feasibility_score(d, default_target(n), lam).score
+        expected = feasibility_score(d, lam).score
         monkeypatch.setattr(inverse, "build_formulation", must_not_run)
         monkeypatch.setattr(inverse, "reduce_formulation", must_not_run)
-        ev = _FastEvaluator(n, default_target(n))
+        ev = _FastEvaluator(n)
         score = ev.evaluate(d.entries.ravel()[None], lam[None], np.full(1, -np.inf))[0]
         assert score == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_fast_evaluator_holds_no_dense_tour_rows(self):
         n = 10
-        ev = _FastEvaluator(n, default_target(n))
+        ev = _FastEvaluator(n)
         cap = len(canonical_tours(n)) * n
         sizes = {k: v.size for k, v in vars(ev).items() if isinstance(v, np.ndarray)}
         assert ev.edges.size == cap
@@ -314,7 +295,7 @@ class TestPairedProbes:
         """Evaluations that _search_chunk makes for restart k alone: the
         start, every +step, and every -step scored with budget left (a
         finite floor) after its +step was rejected (score <= floor)."""
-        ev = _FastEvaluator(cfg.n, default_target(cfg.n))
+        ev = _FastEvaluator(cfg.n)
         used, evaluate = [], ev.evaluate
 
         def counting(D, L, floor):
@@ -334,8 +315,8 @@ class TestInverseSearch:
         b = inverse_search(cfg=cfg)
         assert a.to_dict() == b.to_dict()
 
-    def test_monotone_local_refinement(self, target4):
-        ev = _FastEvaluator(4, target4)
+    def test_monotone_local_refinement(self):
+        ev = _FastEvaluator(4)
         cfg = SearchConfig(restarts=6, local_iters=500, seed=7)
         trace = []
         best, _ = _search_chunk(ev, cfg, range(6), trace)
@@ -346,10 +327,10 @@ class TestInverseSearch:
         assert np.array_equal(steps[-1], best)
 
     @pytest.mark.parametrize("step_floor", [inverse.STEP_FLOOR, 1e-3])
-    def test_restart_independent_of_its_chunk(self, monkeypatch, target4, step_floor):
+    def test_restart_independent_of_its_chunk(self, monkeypatch, step_floor):
         monkeypatch.setattr(inverse, "STEP_FLOOR", step_floor)
         cfg = SearchConfig(restarts=12, local_iters=2000, seed=4)
-        ev = _FastEvaluator(4, target4)
+        ev = _FastEvaluator(4)
         sizes, evaluate = [], ev.evaluate
         ev.evaluate = lambda D, L, floor: sizes.append(len(D)) or evaluate(D, L, floor)
         s12, th12 = _search_chunk(ev, cfg, range(12))
