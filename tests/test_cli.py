@@ -337,9 +337,30 @@ BAD_CONFIGS = [
     ("experiment", {"k": "3"}, "k"),
 ]
 
+# The ascent's six settings are module constants and `dual` reads no config,
+# so `experiment`, the one command that runs the ascent from a config, must
+# refuse each of them by name: flat, and inside an `ascent` object, which is
+# itself an unknown key.  (id, config, key named)
+ASCENT_SETTING_CONFIGS = [
+    ("dual-max_iter", {"max_iter": "5"}, "max_iter"),
+    ("dual-max_iter", {"max_iter": -1}, "max_iter"),
+    ("dual-stall_iters", {"stall_iters": 0}, "stall_iters"),
+    ("dual-initial_step", {"initial_step": 0}, "initial_step"),
+    ("dual-min_step", {"min_step": -1e-18}, "min_step"),
+    ("dual-initial_step", {"initial_step": float("nan")}, "initial_step"),
+    ("dual-gtol", {"gtol": -1e-8}, "gtol"),
+    ("dual-ftol", {"ftol": float("inf")}, "ftol"),
+    ("dual-gtol", {"gtol": 10**400}, "gtol"),
+    ("dual-restarts", {"restarts": 3}, "restarts"),
+    ("experiment-ascent.max_iter", {"ascent": {"max_iter": -1}}, "ascent"),
+    ("experiment-ascent.maxiter", {"ascent": {"maxiter": 5}}, "ascent"),
+]
+
 
 @pytest.mark.parametrize(
-    "command, config, key", BAD_CONFIGS, ids=[f"{c}-{k}" for c, _, k in BAD_CONFIGS]
+    "command, config, key",
+    [pytest.param(c, cfg, k, id=f"{c}-{k}") for c, cfg, k in BAD_CONFIGS]
+    + [pytest.param("experiment", cfg, k, id=i) for i, cfg, k in ASCENT_SETTING_CONFIGS],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, config, key):
     assert run_with_config(tmp_path, command, config) == 2
