@@ -20,9 +20,7 @@ from .formulation import (
     objective,
 )
 from .reduction import (
-    IndexMap,
     ReducedProblem,
-    build_index_map,
     embed_tour,
     linear_maps,
     reduce_formulation,

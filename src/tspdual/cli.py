@@ -145,6 +145,7 @@ def _paper_structure_match(d: DistanceMatrix, r) -> bool:
 
 def cmd_reduce(args) -> int:
     instance_id, d = _get_instance(args)
+    require_oracle_size(d.n)  # before any work is done or file written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     r = reduce_formulation(build_formulation(d))
@@ -283,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, instance=True, config=True):
         if instance:
-            p.add_argument("--instance", help="instance JSON path")
-            p.add_argument("--n", type=int, help="generate an n-city instance")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--instance", help="instance JSON path")
+            source.add_argument("--n", type=int, help="generate an n-city instance")
         if config:
             p.add_argument("--config", help="config JSON path")
         p.add_argument("--out", required=True, help="output directory")

@@ -26,6 +26,9 @@ from .reduction import ReducedProblem, reduced_objective
 
 PD_TOLERANCE = 1e-10
 BINARY_TOLERANCE = 1e-6
+# verify_global's criticality and objective-match tolerances
+CRITICAL_GTOL = 1e-6
+OBJECTIVE_TOLERANCE = 1e-8
 
 # dual_ascent's settings; no caller varies them, and default ascents stop
 # after a few hundred iterations, well short of MAX_ITER
@@ -225,8 +228,6 @@ def verify_global(
     r: ReducedProblem,
     p: DualPoint,
     oracle: OracleResult,
-    gtol: float = 1e-6,
-    obj_tol: float = 1e-8,
 ) -> Verdict:
     """Checks whether a dual point certifies the oracle optimum: cone
     membership, criticality, binary feasible recovery, and objective
@@ -237,13 +238,13 @@ def verify_global(
         ev = dual_value(r, p)
     except NotDualFeasible:
         return Verdict.NotInSPlus
-    if ev.grad_norm > gtol:
+    if ev.grad_norm > CRITICAL_GTOL:
         return Verdict.NotCriticalPoint
     if np.max(np.abs(ev.Y * ev.Y - ev.Y)) > BINARY_TOLERANCE:
         return Verdict.RecoveredYNotBinary
     y_bin = np.round(ev.Y)
     if np.max(np.abs(r.E_r @ y_bin - 1.0)) > BINARY_TOLERANCE:
         return Verdict.RecoveredYNotFeasible
-    if abs(reduced_objective(r, y_bin) + r.c0 - oracle.best_length) > obj_tol:
+    if abs(reduced_objective(r, y_bin) + r.c0 - oracle.best_length) > OBJECTIVE_TOLERANCE:
         return Verdict.ObjectiveMismatch
     return Verdict.ConfirmsTheorem2

@@ -30,7 +30,6 @@ from .instance import (
 )
 from .reduction import (
     ReducedProblem,
-    build_index_map,
     build_reduced_constraints,
     embed_tour,
     linear_maps,
@@ -42,8 +41,9 @@ STATIONARITY_TOL = 1e-10
 PENALTY_WEIGHT = 1e3
 LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
-LOCKSTEP_CHUNK = 256       # restarts advanced together through one batched evaluator
-LOCKSTEP_CELLS = 1 << 22   # cap on scored rows x tour edges (the gathered edges): n >= 8
+# cap on scored rows x tour edges (the gathered edges) of one lockstep chunk
+# of restarts: it binds from 832 restarts at n = 7 and 104 at n = 8
+LOCKSTEP_CELLS = 1 << 22
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
 
@@ -98,7 +98,7 @@ class InverseSearchReport:
 def default_target(n: int) -> np.ndarray:
     """Embedding of the identity tour (1, 2, ..., n), row 0 of
     canonical_tours(n): the target Y-bar of the search."""
-    return embed_tour(build_index_map(n), Tour(tuple(range(1, n + 1))))
+    return embed_tour(Tour(tuple(range(1, n + 1))))
 
 
 def eliminate_mu(r: ReducedProblem, lam: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     n = cfg.n
     ev = _FastEvaluator(n)
     # each restart scores two rows (+step and -step) per lockstep step
-    chunk = max(1, min(LOCKSTEP_CHUNK, LOCKSTEP_CELLS // (2 * ev.edges.size)))
+    chunk = max(1, LOCKSTEP_CELLS // (2 * ev.edges.size))
     scores, thetas = map(np.concatenate, zip(*(
         _search_chunk(ev, cfg, range(k, min(k + chunk, cfg.restarts)))
         for k in range(0, cfg.restarts, chunk)

@@ -1,12 +1,12 @@
 """Reduced problem obtained by fixing city 1 in position 1.
 
-The full vector X is rearranged by a symmetric permutation into
-(X1; Y) where X1 collects [x_11, x_21, ..., x_n1, x_12, ..., x_1n]
-(the 2n-1 components pinned by the fix) and Y collects x_ij for
-i, j in 2..n, position-major.  With X1 = (1, 0, ..., 0) the objective
-becomes (1/2) Y^T A_r Y - b_r^T Y + c0 subject to E_r Y = e and
-Y binary; E_r stacks the position rows over the city rows with the
-redundant city-n row deleted.
+The full vector X is position-major, so X = grid.ravel() with
+grid[position, city].  Y is the grid's lower-right (n-1)^2 block
+(positions and cities 2..n), position-major; X1 is its row 0 and
+column 0 (the 2n-1 components pinned by the fix).  With x_11 = 1 and
+the rest of X1 at 0 the objective becomes (1/2) Y^T A_r Y - b_r^T Y + c0
+subject to E_r Y = e and Y binary; E_r stacks the position rows over
+the city rows with the redundant city-n row deleted.
 """
 from __future__ import annotations
 
@@ -16,26 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, TourDoesNotFixCityOne
-from .formulation import QpFormulation, flat_index
+from .formulation import QpFormulation, encode_tour
 from .instance import Tour
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    n: int
-    head: tuple[int, ...]   # 0-based full indices of X1, in order
-    perm: np.ndarray        # full permutation, X_hat = X[perm]
-
-    def __post_init__(self):
-        self.perm.flags.writeable = False
-
-    def reduced_index(self, city: int, position: int) -> int:
-        """0-based index of x_{city,position} in Y (city, position in 2..n)."""
-        if not (2 <= city <= self.n and 2 <= position <= self.n):
-            raise DimensionMismatch(
-                f"city {city}, position {position} outside 2..{self.n}"
-            )
-        return (position - 2) * (self.n - 1) + (city - 2)
 
 
 @dataclass(frozen=True)
@@ -45,7 +27,6 @@ class ReducedProblem:
     b_r: np.ndarray
     E_r: np.ndarray
     c0: float
-    map: IndexMap
 
     def __post_init__(self):
         for arr in (self.A_r, self.b_r, self.E_r):
@@ -60,30 +41,18 @@ class ReducedProblem:
         return 2 * self.n - 3
 
 
-def build_index_map(n: int) -> IndexMap:
-    head = [flat_index(n, i, 1) for i in range(1, n + 1)]
-    head += [flat_index(n, 1, j) for j in range(2, n + 1)]
-    tail = [
-        flat_index(n, i, j) for j in range(2, n + 1) for i in range(2, n + 1)
-    ]
-    return IndexMap(n=n, head=tuple(head), perm=np.array(head + tail))
-
-
 def reduce_formulation(f: QpFormulation) -> ReducedProblem:
-    n = f.n
-    idx = build_index_map(n)
-    A_hat = f.A[np.ix_(idx.perm, idx.perm)]
-    m = 2 * n - 1
-    A11 = A_hat[:m, :m]
-    A12 = A_hat[:m, m:]
-    A21 = A_hat[m:, :m]
-    A22 = A_hat[m:, m:]
-    x1 = np.zeros(m)
-    x1[0] = 1.0  # x_11 = 1, everything else in X1 forced to 0
-    b_r = -0.5 * (A21 @ x1 + A12.T @ x1)
-    c0 = 0.5 * float(x1 @ A11 @ x1)
+    n, dim = f.n, (f.n - 1) ** 2
+    grid = f.A.reshape(n, n, n, n)  # position, city, position', city'
+    # with x_11 = grid[0, 0] at 1 and the rest of X1 at 0, the linear term
+    # is x_11's coupling with Y, from both sides
+    b_r = -0.5 * (grid[1:, 1:, 0, 0] + grid[0, 0, 1:, 1:]).ravel()
     return ReducedProblem(
-        n=n, A_r=A22, b_r=b_r, E_r=build_reduced_constraints(n), c0=c0, map=idx
+        n=n,
+        A_r=grid[1:, 1:, 1:, 1:].reshape(dim, dim),
+        b_r=b_r,
+        E_r=build_reduced_constraints(n),
+        c0=0.5 * float(grid[0, 0, 0, 0]),
     )
 
 
@@ -121,16 +90,11 @@ def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a_index, b_map
 
 
-def embed_tour(idx: IndexMap, t: Tour) -> np.ndarray:
+def embed_tour(t: Tour) -> np.ndarray:
     """Binary Y for a tour that keeps city 1 in position 1."""
     if t.order[0] != 1:
         raise TourDoesNotFixCityOne(f"tour {t.order} does not start at city 1")
-    if t.n != idx.n:
-        raise DimensionMismatch(f"tour has {t.n} cities, map expects {idx.n}")
-    y = np.zeros((idx.n - 1) ** 2)
-    for j in range(2, idx.n + 1):
-        y[idx.reduced_index(t.order[j - 1], j)] = 1.0
-    return y
+    return encode_tour(t).reshape(t.n, t.n)[1:, 1:].ravel()
 
 
 def reduced_objective(r: ReducedProblem, y) -> float:

@@ -81,7 +81,7 @@ def test_criterion_3_reduction_consistency():
             for rest in itertools.permutations(range(2, n + 1)):
                 t = Tour((1,) + rest)
                 err = abs(
-                    reduced_objective(r, embed_tour(r.map, t))
+                    reduced_objective(r, embed_tour(t))
                     + r.c0
                     - objective(f, encode_tour(t))
                 )
@@ -95,7 +95,7 @@ def test_criterion_4_oracle_ground_truth(unit_square):
     assert res.best_length == 4.0
     assert res.best_tour.order == (1, 2, 3, 4)
     r = reduce_formulation(build_formulation(unit_square))
-    y = embed_tour(r.map, res.best_tour)
+    y = embed_tour(res.best_tour)
     assert list(y) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     report(4, "optimum 4.0, tour (1,2,3,4), Y-bar = (1,0,0,0,1,0,0,0,1)")
 

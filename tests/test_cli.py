@@ -279,7 +279,7 @@ class TestExperiment:
         assert lo <= mean <= hi
 
 
-@pytest.mark.parametrize("command", ["formulate", "dual"])
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
 @pytest.mark.parametrize("source", ["n", "instance"])
 def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, command, source):
     def must_not_run(*args, **kwargs):
@@ -419,6 +419,18 @@ def test_config_flag_rejected_where_unused(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", "cfg.json", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
+def test_instance_and_n_are_exclusive(tmp_path, capsys, command):
+    path = tmp_path / "tri3.json"
+    save_instance(path, random_euclidean_instance(3, 0)[0])
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(path), "--n", "7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # fast valid settings first, so the drawn keys decide whether a run is valid;

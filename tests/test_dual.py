@@ -29,7 +29,6 @@ from tspdual.instance import (
 )
 from tspdual.reduction import (
     ReducedProblem,
-    build_index_map,
     build_reduced_constraints,
     embed_tour,
     reduce_formulation,
@@ -46,15 +45,13 @@ def reduced(unit_square):
 def identity_fixture():
     """Hand-built reduced problem with A_r = I and b_r a binary feasible
     target: the dual at (0, 0) recovers the target exactly."""
-    idx = build_index_map(4)
-    ybar = embed_tour(idx, Tour((1, 2, 3, 4)))
+    ybar = embed_tour(Tour((1, 2, 3, 4)))
     r = ReducedProblem(
         n=4,
         A_r=np.eye(9),
         b_r=ybar.copy(),
         E_r=build_reduced_constraints(4),
         c0=0.0,
-        map=idx,
     )
     return r, ybar
 
@@ -73,7 +70,7 @@ class TestAssemble:
         # at Y-bar for the identity tour, the second stationarity row reads
         # 0 = -d13 + mu2/2 - (lambda1 + lambda5)
         r = reduce_formulation(build_formulation(distinct_d4))
-        ybar = embed_tour(r.map, Tour((1, 2, 3, 4)))
+        ybar = embed_tour(Tour((1, 2, 3, 4)))
         rng = np.random.default_rng(0)
         lam = rng.normal(size=5)
         mu = rng.normal(size=9)
@@ -174,11 +171,10 @@ class TestDualValue:
     def test_lagrangian_exact_on_feasible_binaries(self, reduced):
         # the penalty terms vanish on every tour embedding, for any multipliers
         rng = np.random.default_rng(3)
-        idx = reduced.map
         import itertools
 
         for rest in itertools.permutations((2, 3, 4)):
-            y = embed_tour(idx, Tour((1,) + rest))
+            y = embed_tour(Tour((1,) + rest))
             lam = rng.normal(size=5)
             mu = rng.normal(size=9)
             lagr = (

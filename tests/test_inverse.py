@@ -30,7 +30,7 @@ from tspdual.inverse import (
     optimality_margins,
     stationarity_residual,
 )
-from tspdual.reduction import build_index_map, embed_tour, reduce_formulation
+from tspdual.reduction import reduce_formulation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -352,8 +352,10 @@ class TestInverseSearch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         reports = []
+        edges = evaluator(config["n"]).edges.size
         for chunk in (1, 7, config["restarts"]):
-            monkeypatch.setattr(inverse, "LOCKSTEP_CHUNK", chunk)
+            # each restart of a chunk scores two rows of `edges` gathered edges
+            monkeypatch.setattr(inverse, "LOCKSTEP_CELLS", 2 * edges * chunk)
             out = tmp_path / f"chunk{chunk}"
             assert main(["inverse", "--config", str(path), "--out", str(out)]) == 0
             reports.append((out / "report.json").read_bytes())
