@@ -44,6 +44,7 @@ from .inverse import (
     InverseCandidate,
     InverseSearchReport,
     SearchConfig,
+    SearchVerdict,
     default_target,
     edm_violations,
     eliminate_mu,

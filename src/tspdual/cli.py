@@ -219,7 +219,7 @@ def cmd_inverse(args) -> int:
     doc = report.to_dict()
     doc["config"] = asdict(cfg)
     _write_json(out / "report.json", doc)
-    if report.verdict == "FeasibleCounterexample":
+    if report.verdict is inverse_mod.SearchVerdict.FeasibleCounterexample:
         print(
             "COUNTEREXAMPLE: feasible (d, lambda, mu) found; see report.json",
             file=sys.stderr,

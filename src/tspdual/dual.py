@@ -135,19 +135,39 @@ def _cone_failure(A_mat: np.ndarray) -> tuple[str | None, float]:
     return None, lo
 
 
-def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
-    """Dual function value, recovered minimizer, and its gradient."""
-    A_mat, b_vec = assemble(r, p)
-    failure, lo = _cone_failure(A_mat)
-    if failure is not None:
-        raise NotDualFeasible(failure)
+def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
+    """Y solving A_mat Y = b_vec, or None where the solve breaks down."""
     try:
         y = np.linalg.solve(A_mat, b_vec)
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        y = None
-    if y is None or not np.isfinite(y).all():  # singular to working precision
+        return None
+    return y if np.isfinite(y).all() else None  # singular to working precision
+
+
+def dual_value(
+    r: ReducedProblem, p: DualPoint, floor: float = -math.inf
+) -> DualEvaluation | None:
+    """Dual function value, recovered minimizer, and its gradient.
+
+    The solve runs before the cone test, so a point whose Y is finite and
+    whose value is <= floor returns None without paying for the test.
+    Every other point is judged as with no floor: the cone test first,
+    then the solve, each with its own NotDualFeasible message.
+    """
+    A_mat, b_vec = assemble(r, p)
+    y = None
+    if np.isfinite(A_mat).all() and np.isfinite(b_vec).all():
+        y = _solve(A_mat, b_vec)  # a non-finite b_vec breaks the solve down
+    value = math.nan
+    if y is not None:
+        value = -0.5 * float(b_vec @ y) - float(np.sum(p.lam))
+    if floor > -math.inf and value <= floor:  # never for nan, nor with no floor
+        return None
+    failure, lo = _cone_failure(A_mat)
+    if failure is not None:
+        raise NotDualFeasible(failure)
+    if y is None:
         raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
-    value = -0.5 * float(b_vec @ y) - float(np.sum(p.lam))
     return DualEvaluation(
         value=value,
         Y=y,
@@ -168,7 +188,9 @@ def default_start(r: ReducedProblem) -> DualPoint:
 def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResult:
     """Projected gradient ascent with backtracking; trial steps leaving
     the positive-definite cone are rejected and halved, so accepted
-    iterates only ever improve the dual value.
+    iterates only ever improve the dual value.  A trial point that does
+    not improve is rejected before its cone test, which runs only if no
+    step of the iteration is accepted and the termination hangs on it.
     """
     p = start if start is not None else default_start(r)
     try:
@@ -187,16 +209,19 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
             break
         accepted = False
         left_cone = False
+        unimproving = []  # trial points dual_value skipped before the cone test
         t = step
         while t >= MIN_STEP:
             cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
             try:
-                cand_ev = dual_value(r, cand)
+                cand_ev = dual_value(r, cand, floor=ev.value)
             except NotDualFeasible:
                 left_cone = True
                 t *= 0.5
                 continue
-            if cand_ev.value > ev.value:
+            if cand_ev is None:
+                unimproving.append(cand)
+            elif cand_ev.value > ev.value:
                 p, ev = cand, cand_ev
                 trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
                 accepted = True
@@ -204,6 +229,11 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
                 break
             t *= 0.5
         if not accepted:
+            # no step improved: the ascent left the cone if a trial point
+            # failed the cone test, skipped ones included, else it stalled
+            left_cone = left_cone or any(
+                not dual_feasible(r, c)[0] for c in unimproving
+            )
             termination = (
                 Termination.LeftCone if left_cone else Termination.Stalled
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class InverseCandidate:
     mu: np.ndarray
 
 
+class SearchVerdict(Enum):
+    NoFeasiblePointFound = "NoFeasiblePointFound"
+    FeasibleCounterexample = "FeasibleCounterexample"
+
+
 @dataclass
 class InverseSearchReport:
     best: InverseCandidate
@@ -82,11 +88,12 @@ class InverseSearchReport:
     edm_violations: float
     restarts: int
     best_restart: int
-    verdict: str  # "NoFeasiblePointFound" | "FeasibleCounterexample"
+    verdict: SearchVerdict
     seed: int
 
     def to_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["verdict"] = self.verdict.value
         payload["best"] = {
             "d": [float(v) for v in self.best.d.entries.ravel()],
             "lambda": [float(v) for v in self.best.lam],
@@ -366,7 +373,7 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     breakdown = feasibility_score(d, lam)
     mu, residual = breakdown.mu, breakdown.stationarity_residual
 
-    verdict = "NoFeasiblePointFound"
+    verdict = SearchVerdict.NoFeasiblePointFound
     if (
         breakdown.min_eig > STRICTNESS_MARGIN
         and breakdown.margins.size > 0
@@ -382,7 +389,7 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
         )
         replay_margins = optimality_margins(d_checked)
         if in_plus and np.all(replay_margins > 0):
-            verdict = "FeasibleCounterexample"
+            verdict = SearchVerdict.FeasibleCounterexample
 
     return InverseSearchReport(
         best=InverseCandidate(d=d, lam=lam, mu=mu),

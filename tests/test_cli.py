@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tspdual import cli
 from tspdual.cli import main
-from tspdual.inverse import SearchConfig
+from tspdual.inverse import SearchConfig, SearchVerdict
 from tspdual.instance import random_euclidean_instance, save_instance
 from tspdual.reduction import reduce_formulation
 
@@ -213,6 +213,20 @@ class TestInverse:
             assert main(["inverse", "--config", str(cfg), "--seed", "21", "--out", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_counterexample_exits_10(self, tmp_path, monkeypatch, capsys):
+        search = cli.inverse_mod.inverse_search
+
+        def found(cfg):
+            return replace(search(cfg), verdict=SearchVerdict.FeasibleCounterexample)
+
+        monkeypatch.setattr(cli.inverse_mod, "inverse_search", found)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"restarts": 2, "local_iters": 20}))
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 10
+        assert "COUNTEREXAMPLE" in capsys.readouterr().err
+        assert read_json(out / "report.json")["verdict"] == "FeasibleCounterexample"
 
     def test_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

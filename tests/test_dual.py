@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from _helpers import sample_splus
 from tspdual import dual
 from tspdual.dual import (
+    DualEvaluation,
     Termination,
     Verdict,
     assemble,
@@ -54,6 +57,91 @@ def identity_fixture():
         c0=0.0,
     )
     return r, ybar
+
+
+def reference_dual_value(r, p):
+    """dual_value before it took a floor: the cone test first on every
+    point, then the solve."""
+    A_mat, b_vec = assemble(r, p)
+    failure, lo = dual._cone_failure(A_mat)
+    if failure is not None:
+        raise NotDualFeasible(failure)
+    try:
+        y = np.linalg.solve(A_mat, b_vec)
+    except np.linalg.LinAlgError:
+        y = None
+    if y is None or not np.isfinite(y).all():
+        raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
+    return DualEvaluation(
+        value=-0.5 * float(b_vec @ y) - float(np.sum(p.lam)),
+        Y=y,
+        grad_lambda=r.E_r @ y - np.ones(r.n_multipliers),
+        grad_mu=0.5 * (y * y - y),
+        min_eig=lo,
+    )
+
+
+def reference_ascent(r):
+    """dual_ascent's backtracking loop with every trial point cone-tested
+    before its value is compared."""
+    p = default_start(r)
+    ev = reference_dual_value(r, p)
+    trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
+    step = dual.INITIAL_STEP
+    stall = 0
+    termination = Termination.IterationCap
+    iterations = 0
+    for iterations in range(1, dual.MAX_ITER + 1):
+        if ev.grad_norm < dual.GTOL:
+            termination = Termination.GradientSmall
+            iterations -= 1
+            break
+        accepted = False
+        left_cone = False
+        t = step
+        while t >= dual.MIN_STEP:
+            cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
+            try:
+                cand_ev = reference_dual_value(r, cand)
+            except NotDualFeasible:
+                left_cone = True
+                t *= 0.5
+                continue
+            if cand_ev.value > ev.value:
+                p, ev = cand, cand_ev
+                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
+                accepted = True
+                step = 2.0 * t
+                break
+            t *= 0.5
+        if not accepted:
+            termination = Termination.LeftCone if left_cone else Termination.Stalled
+            break
+        if trajectory[-1][0] - trajectory[-2][0] < dual.FTOL:
+            stall += 1
+            if stall >= dual.STALL_ITERS:
+                termination = Termination.Stalled
+                break
+        else:
+            stall = 0
+    return p, iterations, trajectory, termination
+
+
+def euclidean_reduced(n, seed):
+    d, _ = random_euclidean_instance(n, seed)
+    return reduce_formulation(build_formulation(d))
+
+
+def assert_same_evaluation(ev, ref):
+    assert type(ev) is DualEvaluation
+    assert np.float64(ev.value).tobytes() == np.float64(ref.value).tobytes()
+    assert np.float64(ev.min_eig).tobytes() == np.float64(ref.min_eig).tobytes()
+    for got, want in (
+        (ev.Y, ref.Y),
+        (ev.grad_lambda, ref.grad_lambda),
+        (ev.grad_mu, ref.grad_mu),
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAssemble:
@@ -211,7 +299,154 @@ class TestDualValue:
             assert ok
 
 
+class TestDualValueFloor:
+    def test_no_floor_matches_reference(self, reduced):
+        # in-cone points, and out-of-cone ones whose solve succeeds
+        rng = np.random.default_rng(6)
+        r6 = euclidean_reduced(6, 0)
+        for r in (reduced, r6):
+            base = 1.0 + np.abs(r.A_r).sum(axis=1)
+            for scale in (0.0, 0.5, 1.0, 1.5):
+                for _ in range(10):
+                    p = point(
+                        rng.normal(size=r.n_multipliers),
+                        scale * base + rng.normal(size=r.dim),
+                    )
+                    try:
+                        ref = reference_dual_value(r, p)
+                    except NotDualFeasible as exc:
+                        with pytest.raises(NotDualFeasible) as got:
+                            dual_value(r, p)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert_same_evaluation(dual_value(r, p), ref)
+
+    def test_skips_only_at_or_below_floor(self, reduced):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = sample_splus(reduced, rng)
+            ev = dual_value(reduced, p)
+            assert dual_value(reduced, p, floor=ev.value) is None
+            assert dual_value(reduced, p, floor=math.inf) is None
+            below = dual_value(reduced, p, floor=np.nextafter(ev.value, -math.inf))
+            assert_same_evaluation(below, ev)
+
+    @pytest.mark.parametrize(
+        "shift, failure",
+        [
+            (-2.0, "Cholesky factorization failed"),
+            (-1.0 + 1e-12, "min eigenvalue 9.999778782798785e-13 <= 1e-10"),
+        ],
+        ids=["cholesky", "eigenvalue"],
+    )
+    def test_out_of_cone_point_above_floor_raises(self, identity_fixture, shift, failure):
+        r, _ = identity_fixture  # the shifted matrix is (1 + shift) I
+        p = point(np.zeros(5), np.full(9, shift))
+        A_mat, b_vec = assemble(r, p)
+        value = -0.5 * float(b_vec @ np.linalg.solve(A_mat, b_vec))
+        with pytest.raises(NotDualFeasible, match=failure):
+            dual_value(r, p, floor=np.nextafter(value, -math.inf))
+        assert dual_value(r, p, floor=value) is None  # its cone test never ran
+
+    @pytest.mark.parametrize(
+        "lam, mu, failure",
+        [
+            (0.0, np.inf, "non-finite entry"),
+            # entries of E_r^T lam in two constraints overflow to inf
+            (1e308, 0.0, "the solve for Y broke down"),
+            (np.nan, 0.0, "the solve for Y broke down"),
+        ],
+        ids=["matrix", "vector", "nan-vector"],
+    )
+    def test_non_finite_data_never_skipped(self, identity_fixture, lam, mu, failure):
+        r, _ = identity_fixture
+        p = point(np.full(5, lam), np.full(9, mu))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotDualFeasible, match=failure) as ref:
+                reference_dual_value(r, p)
+            with pytest.raises(NotDualFeasible) as got:
+                dual_value(r, p, floor=math.inf)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "sign, floor, expected",
+        [(-1.0, math.inf, math.nan), (1.0, -math.inf, -math.inf)],
+        ids=["nan", "minus-inf"],
+    )
+    def test_overflowing_value_is_returned(self, identity_fixture, sign, floor, expected):
+        # position rows 1 and 2 of E_r share no entry, so b stays finite
+        # while b @ Y and the sum of lambda overflow: -0.5 * inf - (-inf) is
+        # nan, which no floor skips, and -0.5 * inf - inf is -inf, which
+        # the absent floor must not skip either
+        r, _ = identity_fixture
+        p = point([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0], np.zeros(9))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = dual_value(r, p, floor=floor)
+            ref = reference_dual_value(r, p)
+        assert_same_evaluation(ev, ref)
+        assert np.isfinite(ev.Y).all()
+        assert np.array_equal(ev.value, expected, equal_nan=True)
+
+
+# (n, seed) of the ascents below that end Stalled; every other one ends
+# LeftCone. (7, 2), (8, 1) and (10, 3) raise nothing in their last
+# iteration: a trial point that dual_value skipped fails its deferred
+# cone test
+STALLED = {(5, 0), (6, 2), (6, 3), (10, 2)}
+
+
 class TestDualAscent:
+    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_ascent(self, n, seed):
+        r = euclidean_reduced(n, seed)
+        res = dual_ascent(r)
+        best, iterations, trajectory, termination = reference_ascent(r)
+        assert np.array(res.trajectory).tobytes() == np.array(trajectory).tobytes()
+        assert res.best_point.lam.tobytes() == best.lam.tobytes()
+        assert res.best_point.mu.tobytes() == best.mu.tobytes()
+        assert res.best_value == trajectory[-1][0]
+        assert res.iterations == iterations
+        assert res.termination is termination
+        assert termination is (
+            Termination.Stalled if (n, seed) in STALLED else Termination.LeftCone
+        )
+
+    @pytest.mark.parametrize(
+        "n, seed, deferred", [(8, 0, 0), (10, 0, 0), (5, 0, 9), (7, 2, 1)]
+    )
+    def test_cone_test_skipped_on_unimproving_points(self, n, seed, deferred, monkeypatch):
+        r = euclidean_reduced(n, seed)
+        counts = dict.fromkeys(("cone", "value", "raised", "skipped", "deferred"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        value = dual.dual_value
+
+        def classified_value(*args, **kwargs):
+            try:
+                ev = value(*args, **kwargs)
+            except NotDualFeasible:
+                counts["raised"] += 1
+                raise
+            counts["skipped"] += ev is None
+            return ev
+
+        monkeypatch.setattr(dual, "_cone_failure", counted("cone", dual._cone_failure))
+        monkeypatch.setattr(dual, "dual_value", counted("value", classified_value))
+        monkeypatch.setattr(dual, "dual_feasible", counted("deferred", dual.dual_feasible))
+        res = dual_ascent(r)
+        accepted = len(res.trajectory) - 1
+        # every call is the start, an accepted step, a rejection or a skip
+        assert counts["value"] == 1 + accepted + counts["raised"] + counts["skipped"]
+        assert counts["cone"] == 1 + accepted + counts["raised"] + counts["deferred"]
+        assert counts["cone"] < 0.6 * counts["value"]
+        assert counts["deferred"] == deferred
+
     def test_trajectory_nondecreasing(self, reduced):
         res = dual_ascent(reduced)
         values = [v for v, _, _ in res.trajectory]

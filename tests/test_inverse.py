@@ -20,6 +20,7 @@ from tspdual.instance import (
 )
 from tspdual.inverse import (
     SearchConfig,
+    SearchVerdict,
     _FastEvaluator,
     _search_chunk,
     default_target,
@@ -372,7 +373,7 @@ class TestInverseSearch:
 
     def test_small_search_stays_negative(self):
         rep = inverse_search(cfg=SearchConfig(restarts=10, local_iters=400, seed=5))
-        assert rep.verdict == "NoFeasiblePointFound"
+        assert rep.verdict is SearchVerdict.NoFeasiblePointFound
         assert rep.best_min_eig <= 1e-8
         assert rep.stationarity_residual <= 1e-10
         assert rep.edm_violations == 0.0
