@@ -2,8 +2,9 @@
 machine-readable outputs.
 
 Exit codes: 0 success (including the expected negative result),
-2 input/configuration error, 10 a counterexample to the negative
-result was found (so pipelines cannot miss it).
+2 input/configuration error or a dual bound above the optimum,
+10 a counterexample to the negative result was found (so pipelines
+cannot miss it).
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ from .reduction import linear_maps, reduce_formulation, reduced_to_dict
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_COUNTEREXAMPLE = 10
+# relative rounding allowance of the weak-duality check on a dual bound
+WEAK_DUALITY_RTOL = 1e-9
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,12 +163,19 @@ def cmd_reduce(args) -> int:
 
 def _run_dual(d: DistanceMatrix):
     """Dual ascent on one instance, checked against the oracle: returns
-    (ascent result, oracle optimum, verdict, gap)."""
+    (ascent result, oracle optimum, verdict, gap).  A "bound" above the
+    optimum raises a TspdualError, so no result carries it."""
     r = reduce_formulation(build_formulation(d))
     result = dual_mod.dual_ascent(r)
     oracle = brute_force_optimum(d)
+    optimum = oracle.best_length
+    if result.best_value > optimum + WEAK_DUALITY_RTOL * abs(optimum):
+        raise TspdualError(
+            f"dual bound {result.best_value!r} exceeds the optimum {optimum!r}: "
+            "the ascent's value is no lower bound at this distance scale"
+        )
     verdict = dual_mod.verify_global(r, result.best_point, oracle)
-    return result, oracle.best_length, verdict, oracle.best_length - result.best_value
+    return result, optimum, verdict, optimum - result.best_value
 
 
 def _report_confirmation(where: str) -> int:

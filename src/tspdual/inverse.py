@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import check_range
-from .dual import PD_TOLERANCE, min_eigenvalue, point, dual_feasible
+from .dual import PD_TOLERANCE, assemble, dual_feasible, min_eigenvalue, point
 from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
@@ -117,13 +117,6 @@ def eliminate_mu(r: ReducedProblem, lam: np.ndarray) -> np.ndarray:
     return rhs / (ybar - 0.5)
 
 
-def stationarity_residual(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> float:
-    ybar = default_target(r.n)
-    lhs = (r.A_r + np.diag(mu)) @ ybar
-    rhs = r.b_r + 0.5 * mu - r.E_r.T @ lam
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def optimality_margins(d: DistanceMatrix) -> np.ndarray:
     """Tour-length gap of every other canonical tour (in table order)
     against the target, the identity tour in row 0.  All margins strictly
@@ -162,17 +155,19 @@ class ScoreBreakdown:
     margins: np.ndarray
     edm_violations: float
     stationarity_residual: float
+    reduced: ReducedProblem
 
 
 def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     """Scalar search objective via the full formulation/reduction chain:
     smallest eigenvalue of A_r + diag(mu), penalized by optimality-margin
-    and EDM violations; also the stationarity residual of (lam, mu) on the
-    same reduced problem.
+    and EDM violations; also the stationarity residual max|A Ybar - b| of
+    (lam, mu), read from the same assembled (A, b).
     """
     r = reduce_formulation(build_formulation(d))
     mu = eliminate_mu(r, lam)
-    lo = min_eigenvalue(r.A_r + np.diag(mu))
+    A_mat, b_vec = assemble(r, point(lam, mu))
+    lo = min_eigenvalue(A_mat)
     _check_pd_implies_positive_mu(lo, mu)
     margins = optimality_margins(d)
     edm = edm_violations(d)
@@ -183,7 +178,8 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
         mu=mu,
         margins=margins,
         edm_violations=edm,
-        stationarity_residual=stationarity_residual(r, lam, mu),
+        stationarity_residual=float(np.max(np.abs(A_mat @ default_target(r.n) - b_vec))),
+        reduced=r,
     )
 
 
@@ -206,9 +202,11 @@ class _FastEvaluator:
     forms in reduction.linear_maps, independent of the formulation and
     reduction chain that feasibility_score replays.  Results agree
     with feasibility_score to rounding, and each row of a batch is
-    bit-identical to the same row evaluated alone: the 0/1 map into A_r
-    is a gather, and the other maps of d and lambda go through a stacked
-    matmul, which makes the same BLAS call per row as a single product.
+    bit-identical to the same row evaluated alone.  The 0/1 map into A_r
+    is a gather.  Every row of B, TY and E_r^T has at most two nonzeros,
+    each -1/2 or 1, so in mu's three matmuls every product is exact and
+    every entry is one rounding of a two-term sum, whatever the order or
+    blocking of the summation.
     Tour lengths sum an edge gather in tour order (edges[a, t] indexes
     edge a of tour t; the target is tour 0), so the margins equal
     optimality_margins bit for bit.  The gather must be np.take: its
@@ -222,7 +220,6 @@ class _FastEvaluator:
         self.dim = (n - 1) ** 2
         self.ybar = default_target(n)
         self.E_r = build_reduced_constraints(n)
-        self.ErT = self.E_r.T
         self.inv_sign = 1.0 / (self.ybar - 0.5)  # +-2
 
         # A_r entries are picked from d, or from a zero column appended at n^2
@@ -260,10 +257,7 @@ class _FastEvaluator:
         covers the error with room to spare.  Rounding is monotone, so a
         pruned row's computed score could not have exceeded floor either.
         """
-        def apply(m, X):  # row-wise m @ x
-            return np.matmul(m, X[:, :, None])[..., 0]
-
-        mu = (apply(self.B, D) - apply(self.TY, D) - apply(self.ErT, L)) * self.inv_sign
+        mu = (D @ self.B.T - D @ self.TY.T - L @ self.E_r) * self.inv_sign
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += np.sum(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]), axis=1)
@@ -376,19 +370,15 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     verdict = SearchVerdict.NoFeasiblePointFound
     if (
         breakdown.min_eig > STRICTNESS_MARGIN
-        and breakdown.margins.size > 0
         and np.all(breakdown.margins > STRICTNESS_MARGIN)
         and breakdown.edm_violations == 0.0
         and residual <= STATIONARITY_TOL
     ):
-        # independent replay of every clause before claiming a counterexample
-        d_checked = validate_distance_matrix(d.entries, metric=True)
-        in_plus, _ = dual_feasible(
-            reduce_formulation(build_formulation(d_checked)),
-            point(lam, mu),
-        )
-        replay_margins = optimality_margins(d_checked)
-        if in_plus and np.all(replay_margins > 0):
+        # the checks the score does not make: the exact triangle inequality,
+        # and the cone test's finiteness, Cholesky and PD_TOLERANCE on the
+        # replay's own reduced problem
+        validate_distance_matrix(d.entries, metric=True)
+        if dual_feasible(breakdown.reduced, point(lam, mu))[0]:
             verdict = SearchVerdict.FeasibleCounterexample
 
     return InverseSearchReport(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tspdual import cli
 from tspdual.cli import main
 from tspdual.inverse import SearchConfig, SearchVerdict
-from tspdual.instance import random_euclidean_instance, save_instance
+from tspdual.instance import DistanceMatrix, random_euclidean_instance, save_instance
 from tspdual.reduction import reduce_formulation
 
 
@@ -126,6 +126,46 @@ class TestDual:
         if (out / "gap_record.json").exists():
             text = (out / "gap_record.json").read_text()
             assert "Infinity" not in text and "NaN" not in text
+
+
+# seeded instances at scales where the ascent's start passes the cone
+# test yet its value lies above the optimum (the ascent ends Stalled after
+# one iteration): 4.47e31 against 2.26e16, 1.23e116 against 2.26e100 and
+# 5.44e305 against 2.50e290
+ABOVE_OPTIMUM = [(6, 2, 1e16), (6, 2, 1e100), (4, 0, 1e290)]
+
+
+def scaled_instance(n, seed, scale):
+    d, _ = random_euclidean_instance(n, seed)
+    return DistanceMatrix(n, scale * d.entries)
+
+
+@pytest.mark.parametrize("n, seed, scale", ABOVE_OPTIMUM)
+def test_dual_bound_above_optimum_exits_2(tmp_path, capsys, n, seed, scale):
+    path = tmp_path / "scaled.json"
+    save_instance(path, scaled_instance(n, seed, scale))
+    out = tmp_path / "out"
+    assert main(["dual", "--instance", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual bound ") and "exceeds the optimum" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "gap_record.json").exists()
+    assert not (out / "trace.csv").exists()
+
+
+def test_experiment_bound_above_optimum_exits_2(tmp_path, capsys, monkeypatch):
+    n, seed, scale = ABOVE_OPTIMUM[0]
+    monkeypatch.setattr(
+        cli, "random_euclidean_instance",
+        lambda n, seed: (scaled_instance(n, seed, scale), None),
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 1, "ns": [n], "seed": seed}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual bound ") and err.count("\n") == 1
+    assert not (out / "gaps.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tspdual import inverse
 from tspdual.cli import main
+from tspdual.dual import assemble, point
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -29,7 +31,6 @@ from tspdual.inverse import (
     feasibility_score,
     inverse_search,
     optimality_margins,
-    stationarity_residual,
 )
 from tspdual.reduction import reduce_formulation
 
@@ -68,7 +69,10 @@ class TestEliminateMu:
             r = reduce_formulation(build_formulation(d))
             lam = rng.normal(scale=5.0, size=5)
             mu = eliminate_mu(r, lam)
-            assert stationarity_residual(r, lam, mu) <= 1e-12
+            A, b = assemble(r, point(lam, mu))
+            residual = float(np.max(np.abs(A @ default_target(4) - b)))
+            assert residual <= 1e-12
+            assert feasibility_score(d, lam).stationarity_residual == residual
 
 
 class TestOptimalityMargins:
@@ -178,6 +182,16 @@ class TestFeasibilityScore:
         ev = _FastEvaluator(n)
         score = ev.evaluate(d.entries.ravel()[None], lam[None], np.full(1, -np.inf))[0]
         assert score == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_fast_maps_have_exact_products(self, n):
+        # at most two nonzeros per row, each -1/2 or 1: every product in
+        # mu's matmuls is exact and each entry is one rounded two-term sum,
+        # which is what makes a batch row bit-equal to the row alone
+        ev = evaluator(n)
+        for m in (ev.B, ev.TY, ev.E_r.T):
+            assert np.count_nonzero(m, axis=1).max() <= 2
+            assert set(np.unique(m[m != 0])) <= {-0.5, 1.0}
 
     def test_fast_evaluator_holds_no_dense_tour_rows(self):
         n = 10
@@ -377,6 +391,53 @@ class TestInverseSearch:
         assert rep.best_min_eig <= 1e-8
         assert rep.stationarity_residual <= 1e-10
         assert rep.edm_violations == 0.0
+
+
+class TestVerdictBranch:
+    """The counterexample branch of inverse_search, entered by a score
+    whose breakdown passes every clause: the verdict then rests on the
+    cone test of the replay's own point."""
+
+    @pytest.mark.parametrize("replay", ["in_cone", "out_of_cone", "unchanged"])
+    def test_verdict_follows_the_replay(self, monkeypatch, replay):
+        calls = {"build": 0, "cone": 0}
+        build, cone, score = (
+            inverse.build_formulation, inverse.dual_feasible, inverse.feasibility_score
+        )
+
+        def counting_build(d):
+            calls["build"] += 1
+            return build(d)
+
+        def counting_cone(r, p):
+            calls["cone"] += 1
+            return cone(r, p)
+
+        def passing_score(d, lam):
+            b = score(d, lam)
+            if replay == "unchanged":
+                return b
+            dominant = 1.0 + np.abs(b.reduced.A_r).sum(axis=1)
+            return replace(
+                b,
+                min_eig=1.0,
+                mu=dominant if replay == "in_cone" else -dominant,
+                margins=np.ones_like(b.margins),
+                edm_violations=0.0,
+                stationarity_residual=0.0,
+            )
+
+        monkeypatch.setattr(inverse, "build_formulation", counting_build)
+        monkeypatch.setattr(inverse, "dual_feasible", counting_cone)
+        monkeypatch.setattr(inverse, "feasibility_score", passing_score)
+        rep = inverse_search(cfg=SearchConfig(n=5, restarts=2, local_iters=30, seed=3))
+        expected = {
+            "in_cone": SearchVerdict.FeasibleCounterexample,
+            "out_of_cone": SearchVerdict.NoFeasiblePointFound,
+            "unchanged": SearchVerdict.NoFeasiblePointFound,
+        }[replay]
+        assert rep.verdict is expected
+        assert calls == {"build": 1, "cone": 0 if replay == "unchanged" else 1}
 
 
 class TestSearchConfig:
