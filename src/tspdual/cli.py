@@ -1,6 +1,11 @@
 """Command-line front end: reproducible runs with file-based inputs and
 machine-readable outputs.
 
+`main` does all of the I/O: it reads and checks the input, creates
+`--out`, and writes the files a command returns.  A command maps checked
+input to (files: name -> text, counterexample message or None), so a
+command that stops with an input error writes no result file.
+
 Exit codes: 0 success (including the expected negative result),
 2 input/configuration error or a dual bound above the optimum,
 10 a counterexample to the negative result was found (so pipelines
@@ -40,13 +45,16 @@ EXIT_COUNTEREXAMPLE = 10
 WEAK_DUALITY_RTOL = 1e-9
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def _lines(rows) -> str:
+    return "\n".join(rows) + "\n"
 
 
-def _write_csv_matrix(path: Path, mat: np.ndarray) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
-    path.write_text("\n".join(lines) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_matrix(mat: np.ndarray) -> str:
+    return _lines(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat))
 
 
 @dataclass(frozen=True)
@@ -98,43 +106,56 @@ def config_from_json(tp, value, key: str = ""):
     return value
 
 
-def _read_json(path: str | None):
-    return {} if path is None else read_json(path)
+Result = tuple[dict[str, str], str | None]
+CONFIRMED = "dual critical point recovered a binary optimal tour; see {}"
 
 
-def _get_instance(args) -> tuple[str, DistanceMatrix]:
-    if args.instance is not None:
-        d, _ = load_instance(args.instance)
-        return Path(args.instance).stem, d
-    n = args.n if args.n is not None else 4
-    seed = args.seed if args.seed is not None else 0
+def seeded_instance(n: int, seed: int) -> tuple[str, DistanceMatrix]:
+    """The seeded Euclidean n-city instance and its id."""
     d, _ = random_euclidean_instance(n, seed)
     return f"euclidean-n{n}-seed{seed}", d
 
 
-def cmd_formulate(args) -> int:
-    instance_id, d = _get_instance(args)
-    require_oracle_size(d.n)  # before any work is done or file written
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def read_instance(args) -> tuple[DistanceMatrix, dict]:
+    """d from `--instance`, or generated from `--n`/`--seed`, within the
+    oracle's size; and the configuration that the outputs echo."""
+    seed = args.seed if args.seed is not None else 0
+    if args.instance is None:
+        n = args.n if args.n is not None else 4
+        require_oracle_size(n)  # before the n x n matrix is allocated
+        instance_id, d = seeded_instance(n, seed)
+    else:
+        d, _ = load_instance(args.instance)
+        require_oracle_size(d.n)
+        instance_id = Path(args.instance).stem
+    config = {"instance": args.instance, "instance_id": instance_id, "n": args.n, "seed": seed}
+    return d, config
+
+
+def config_reader(tp):
+    """Reader of `--config` (absent: every default) into the config
+    dataclass `tp`, whose `seed` `--seed` overrides."""
+    def read(args) -> tuple:
+        cfg = config_from_json(tp, {} if args.config is None else read_json(args.config))
+        return (cfg if args.seed is None else replace(cfg, seed=args.seed),)
+    return read
+
+
+def cmd_formulate(d: DistanceMatrix, config: dict) -> Result:
     f = build_formulation(d)
-    _write_csv_matrix(out / "A.csv", f.A)
-    _write_csv_matrix(out / "C.csv", f.C)
-    _write_csv_matrix(out / "D.csv", f.D)
     oracle = brute_force_optimum(d)
-    _write_json(
-        out / "summary.json",
-        {
-            "instance": instance_id,
-            "n": d.n,
-            "symmetric": bool(np.array_equal(f.A, f.A.T)),
-            "oracle_tour": list(oracle.best_tour.order),
-            "oracle_length": oracle.best_length,
-            "oracle_tour_objective": objective(f, encode_tour(oracle.best_tour)),
-            "config": _effective_instance_config(args, instance_id),
-        },
-    )
-    return EXIT_OK
+    summary = {
+        "instance": config["instance_id"],
+        "n": d.n,
+        "symmetric": bool(np.array_equal(f.A, f.A.T)),
+        "oracle_tour": list(oracle.best_tour.order),
+        "oracle_length": oracle.best_length,
+        "oracle_tour_objective": objective(f, encode_tour(oracle.best_tour)),
+        "config": config,
+    }
+    matrices = {"A.csv": f.A, "C.csv": f.C, "D.csv": f.D}
+    files = {name: _csv_matrix(mat) for name, mat in matrices.items()}
+    return {**files, "summary.json": _json(summary)}, None
 
 
 def _paper_structure_match(d: DistanceMatrix, r) -> bool:
@@ -146,19 +167,14 @@ def _paper_structure_match(d: DistanceMatrix, r) -> bool:
     return np.array_equal(r.A_r, A_expect) and np.array_equal(r.b_r, b_map @ dvec)
 
 
-def cmd_reduce(args) -> int:
-    instance_id, d = _get_instance(args)
-    require_oracle_size(d.n)  # before any work is done or file written
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_reduce(d: DistanceMatrix, config: dict) -> Result:
     r = reduce_formulation(build_formulation(d))
     payload = reduced_to_dict(r)
     if d.n == 4:
         payload["paper_match"] = _paper_structure_match(d, r)
-    payload["instance"] = instance_id
-    payload["config"] = _effective_instance_config(args, instance_id)
-    _write_json(out / "reduced.json", payload)
-    return EXIT_OK
+    payload["instance"] = config["instance_id"]
+    payload["config"] = config
+    return {"reduced.json": _json(payload)}, None
 
 
 def _run_dual(d: DistanceMatrix):
@@ -178,82 +194,47 @@ def _run_dual(d: DistanceMatrix):
     return result, optimum, verdict, optimum - result.best_value
 
 
-def _report_confirmation(where: str) -> int:
-    print(
-        "COUNTEREXAMPLE: dual critical point recovered a binary optimal "
-        f"tour; see {where}",
-        file=sys.stderr,
-    )
-    return EXIT_COUNTEREXAMPLE
-
-
-def cmd_dual(args) -> int:
-    instance_id, d = _get_instance(args)
-    require_oracle_size(d.n)  # before the ascent and before any file is written
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_dual(d: DistanceMatrix, config: dict) -> Result:
     result, optimum, verdict, gap = _run_dual(d)
-
-    lines = ["iteration,g,gradient_norm,min_eig"]
+    trace = ["iteration,g,gradient_norm,min_eig"]
     for it, (g, gn, lo) in enumerate(result.trajectory):
-        lines.append(f"{it},{g!r},{gn!r},{lo!r}")
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
-
-    _write_json(
-        out / "gap_record.json",
-        {
-            "instance": instance_id,
-            "n": d.n,
-            "seed": args.seed if args.seed is not None else 0,
-            "oracle_optimum": optimum,
-            "dual_bound": result.best_value,
-            "gap": gap,
-            "iterations": result.iterations,
-            "termination": result.termination.value,
-            "verdict": verdict.value,
-            "config": _effective_instance_config(args, instance_id),
-        },
-    )
-    if verdict is dual_mod.Verdict.ConfirmsTheorem2:
-        return _report_confirmation("gap_record.json")
-    return EXIT_OK
+        trace.append(f"{it},{g!r},{gn!r},{lo!r}")
+    record = {
+        "instance": config["instance_id"],
+        "n": d.n,
+        "seed": config["seed"],
+        "oracle_optimum": optimum,
+        "dual_bound": result.best_value,
+        "gap": gap,
+        "iterations": result.iterations,
+        "termination": result.termination.value,
+        "verdict": verdict.value,
+        "config": config,
+    }
+    files = {"trace.csv": _lines(trace), "gap_record.json": _json(record)}
+    confirmed = verdict is dual_mod.Verdict.ConfirmsTheorem2
+    return files, CONFIRMED.format("gap_record.json") if confirmed else None
 
 
-def cmd_inverse(args) -> int:
-    cfg = config_from_json(inverse_mod.SearchConfig, _read_json(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_inverse(cfg: inverse_mod.SearchConfig) -> Result:
     report = inverse_mod.inverse_search(cfg=cfg)
     doc = report.to_dict()
     doc["config"] = asdict(cfg)
-    _write_json(out / "report.json", doc)
-    if report.verdict is inverse_mod.SearchVerdict.FeasibleCounterexample:
-        print(
-            "COUNTEREXAMPLE: feasible (d, lambda, mu) found; see report.json",
-            file=sys.stderr,
-        )
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+    found = report.verdict is inverse_mod.SearchVerdict.FeasibleCounterexample
+    return {"report.json": _json(doc)}, (
+        "feasible (d, lambda, mu) found; see report.json" if found else None
+    )
 
 
-def cmd_experiment(args) -> int:
-    cfg = config_from_json(ExperimentConfig, _read_json(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_experiment(cfg: ExperimentConfig) -> Result:
     lines = [
         "# config: " + json.dumps(asdict(cfg)),
         "instance_id,n,seed,oracle_optimum,dual_bound,gap,iterations,termination",
     ]
     gaps, confirmed = [], []
     for n in cfg.ns:
-        for i in range(cfg.k):
-            inst_seed = cfg.seed + i
-            instance_id = f"euclidean-n{n}-seed{inst_seed}"
-            d, _ = random_euclidean_instance(n, inst_seed)
+        for inst_seed in range(cfg.seed, cfg.seed + cfg.k):
+            instance_id, d = seeded_instance(n, inst_seed)
             result, optimum, verdict, gap = _run_dual(d)
             gaps.append(gap)
             if verdict is dual_mod.Verdict.ConfirmsTheorem2:
@@ -269,19 +250,21 @@ def cmd_experiment(args) -> int:
             f"# summary: mean={float(arr.mean())!r} min={float(arr.min())!r} "
             f"max={float(arr.max())!r}"
         )
-    (out / "gaps.csv").write_text("\n".join(lines) + "\n")
-    if confirmed:
-        return _report_confirmation(f"gaps.csv ({', '.join(confirmed)})")
-    return EXIT_OK
+    where = f"gaps.csv ({', '.join(confirmed)})"
+    return {"gaps.csv": _lines(lines)}, CONFIRMED.format(where) if confirmed else None
 
 
-def _effective_instance_config(args, instance_id: str) -> dict:
-    return {
-        "instance": args.instance,
-        "instance_id": instance_id,
-        "n": args.n,
-        "seed": args.seed if args.seed is not None else 0,
-    }
+# (name, help, command, reader): the reader reads and checks all of the
+# command's input, and returns the command's arguments
+COMMANDS = [
+    ("formulate", "write A/C/D matrices and a summary", cmd_formulate, read_instance),
+    ("reduce", "write the reduced problem JSON", cmd_reduce, read_instance),
+    ("dual", "run dual ascent, write trace and gap record", cmd_dual, read_instance),
+    ("inverse", "run the inverse feasibility search", cmd_inverse,
+     config_reader(inverse_mod.SearchConfig)),
+    ("experiment", "duality-gap sweep over random instances", cmd_experiment,
+     config_reader(ExperimentConfig)),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,50 +274,38 @@ def build_parser() -> argparse.ArgumentParser:
         "feasibility search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, instance=True, config=True):
-        if instance:
+    for name, help_text, command, reader in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if reader is read_instance:
             source = p.add_mutually_exclusive_group()
             source.add_argument("--instance", help="instance JSON path")
             source.add_argument("--n", type=int, help="generate an n-city instance")
-        if config:
+        else:
             p.add_argument("--config", help="config JSON path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="random seed")
-
-    p = sub.add_parser("formulate", help="write A/C/D matrices and a summary")
-    common(p, config=False)
-    p.set_defaults(func=cmd_formulate)
-
-    p = sub.add_parser("reduce", help="write the reduced problem JSON")
-    common(p, config=False)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("dual", help="run dual ascent, write trace and gap record")
-    common(p, config=False)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("inverse", help="run the inverse feasibility search")
-    common(p, instance=False)
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("experiment", help="duality-gap sweep over random instances")
-    common(p, instance=False)
-    p.set_defaults(func=cmd_experiment)
-
+        p.set_defaults(run=command, read=reader)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is not None:
             check_range("seed", args.seed, args.seed >= 0, ">= 0")
-        return args.func(args)
+        checked = args.read(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        files, counterexample = args.run(*checked)
+        for name, text in files.items():
+            (out / name).write_text(text)
     except (TspdualError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if counterexample is None:
+        return EXIT_OK
+    print(f"COUNTEREXAMPLE: {counterexample}", file=sys.stderr)
+    return EXIT_COUNTEREXAMPLE
 
 
 if __name__ == "__main__":

@@ -186,11 +186,13 @@ def default_start(r: ReducedProblem) -> DualPoint:
 
 
 def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResult:
-    """Projected gradient ascent with backtracking; trial steps leaving
-    the positive-definite cone are rejected and halved, so accepted
-    iterates only ever improve the dual value.  A trial point that does
-    not improve is rejected before its cone test, which runs only if no
-    step of the iteration is accepted and the termination hangs on it.
+    """Gradient ascent with backtracking inside the cone: the trial step
+    p + t * grad g is not projected; a trial point that leaves the
+    positive-definite cone or does not improve is rejected and t halved,
+    so accepted iterates only ever improve the dual value.  A trial point
+    that does not improve is rejected before its cone test, which runs
+    only if no step of the iteration is accepted and the termination
+    hangs on it.
     """
     p = start if start is not None else default_start(r)
     try:

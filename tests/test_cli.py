@@ -127,6 +127,20 @@ class TestDual:
             text = (out / "gap_record.json").read_text()
             assert "Infinity" not in text and "NaN" not in text
 
+    def test_confirmation_exits_10(self, tmp_path, monkeypatch, capsys, unit_square_file):
+        monkeypatch.setattr(
+            cli.dual_mod, "verify_global",
+            lambda *args: cli.dual_mod.Verdict.ConfirmsTheorem2,
+        )
+        out = tmp_path / "out"
+        assert main(["dual", "--instance", unit_square_file, "--out", str(out)]) == 10
+        assert capsys.readouterr().err == (
+            "COUNTEREXAMPLE: dual critical point recovered a binary optimal tour; "
+            "see gap_record.json\n"
+        )
+        assert read_json(out / "gap_record.json")["verdict"] == "ConfirmsTheorem2"
+        assert (out / "trace.csv").read_text().startswith("iteration,g,")
+
 
 # seeded instances at scales where the ascent's start passes the cone
 # test yet its value lies above the optimum (the ascent ends Stalled after
@@ -151,6 +165,7 @@ def test_dual_bound_above_optimum_exits_2(tmp_path, capsys, n, seed, scale):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "gap_record.json").exists()
     assert not (out / "trace.csv").exists()
+    assert not any(out.iterdir())  # --out exists, and holds no file
 
 
 def test_experiment_bound_above_optimum_exits_2(tmp_path, capsys, monkeypatch):
@@ -166,6 +181,7 @@ def test_experiment_bound_above_optimum_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: dual bound ") and err.count("\n") == 1
     assert not (out / "gaps.csv").exists()
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
@@ -253,6 +269,7 @@ class TestInverse:
             assert main(["inverse", "--config", str(cfg), "--seed", "21", "--out", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+        assert json.loads(outs[0])["config"]["seed"] == 21
 
     def test_counterexample_exits_10(self, tmp_path, monkeypatch, capsys):
         search = cli.inverse_mod.inverse_search
@@ -265,7 +282,9 @@ class TestInverse:
         cfg.write_text(json.dumps({"restarts": 2, "local_iters": 20}))
         out = tmp_path / "out"
         assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 10
-        assert "COUNTEREXAMPLE" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "COUNTEREXAMPLE: feasible (d, lambda, mu) found; see report.json\n"
+        )
         assert read_json(out / "report.json")["verdict"] == "FeasibleCounterexample"
 
     def test_bad_config(self, tmp_path):
@@ -317,7 +336,10 @@ class TestExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 2, "ns": [3]}))
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 10
-        assert "COUNTEREXAMPLE" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "COUNTEREXAMPLE: dual critical point recovered a binary optimal tour; "
+            "see gaps.csv (euclidean-n3-seed0, euclidean-n3-seed1)\n"
+        )
         assert len((out / "gaps.csv").read_text().splitlines()) == 5
 
     def test_summary_line_parses_as_floats(self, tmp_path):
@@ -334,24 +356,36 @@ class TestExperiment:
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
-@pytest.mark.parametrize("source", ["n", "instance"])
-def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, command, source):
+@pytest.mark.parametrize(
+    "source, n", [("n", 11), ("instance", 11), ("n", 100_000)], ids=["n", "instance", "n-100000"]
+)
+def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, command, source, n):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
     monkeypatch.setattr(cli.dual_mod, "dual_ascent", must_not_run)
     monkeypatch.setattr(cli, "build_formulation", must_not_run)
     if source == "n":
-        where = ["--n", "11"]
+        # a generated instance is refused before its n x n matrix exists
+        monkeypatch.setattr(cli, "random_euclidean_instance", must_not_run)
+        where = ["--n", str(n)]
     else:
         path = tmp_path / "n11.json"
-        save_instance(path, random_euclidean_instance(11, 0)[0])
+        save_instance(path, random_euclidean_instance(n, 0)[0])
         where = ["--instance", str(path)]
     out = tmp_path / "out"
     assert main([command, *where, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: n = 11 exceeds enumeration guard 10\n"
+    assert err == f"error: n = {n} exceeds enumeration guard 10\n"
     assert not out.exists()  # so no CSV either
+
+
+@pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
+def test_too_few_generated_cities_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need at least 3 cities, got n = 2\n"
+    assert not out.exists()
 
 
 def run_with_config(tmp_path, command, config):
@@ -559,3 +593,11 @@ def test_readme_config_table_matches_fields(heading, tp):
     assert [key for key, _ in rows] == [f.name for f in fields(tp)]
     for key, default in rows:
         assert cli.config_from_json(tp, {key: json.loads(default)}) == tp(), key
+
+
+def test_readme_cli_block_matches_command_table():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    begin = lines.index("```sh", lines.index("## CLI"))
+    end = lines.index("```", begin)
+    names = [line.split()[1] for line in lines[begin + 1:end]]
+    assert names == [row[0] for row in cli.COMMANDS]
