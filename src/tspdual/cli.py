@@ -31,7 +31,7 @@ from .instance import (
     ORACLE_MAX_CITIES,
     DistanceMatrix,
     brute_force_optimum,
-    load_instance,
+    instance_from_dict,
     random_euclidean_instance,
     read_json,
     require_oracle_size,
@@ -125,8 +125,11 @@ def read_instance(args) -> tuple[DistanceMatrix, dict]:
         require_oracle_size(n)  # before the n x n matrix is allocated
         instance_id, d = seeded_instance(n, seed)
     else:
-        d, _ = load_instance(args.instance)
-        require_oracle_size(d.n)
+        payload = read_json(args.instance)
+        n = payload.get("n") if isinstance(payload, dict) else None
+        if type(n) is int:  # a bool or a float gets instance_from_dict's message
+            require_oracle_size(n)  # before the n x n entries are validated
+        d, _ = instance_from_dict(payload)
         instance_id = Path(args.instance).stem
     config = {"instance": args.instance, "instance_id": instance_id, "n": args.n, "seed": seed}
     return d, config

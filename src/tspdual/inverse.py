@@ -17,6 +17,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+# the gufunc behind np.linalg.cholesky: a stack is factored matrix by matrix,
+# and under errstate(invalid="ignore") a matrix that fails comes back all NaN
+# instead of raising for the whole stack
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import check_range
 from .dual import PD_TOLERANCE, assemble, dual_feasible, min_eigenvalue, point
@@ -47,6 +51,9 @@ STEP_FLOOR = 1e-9
 LOCKSTEP_CELLS = 1 << 22
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
+# the Cholesky screen runs only on rows whose magnitudes are this far from
+# overflow, where the rounding-error bound it rests on holds
+SCREEN_MAGNITUDE_CAP = 1e150
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     mu = eliminate_mu(r, lam)
     A_mat, b_vec = assemble(r, point(lam, mu))
     lo = min_eigenvalue(A_mat)
-    _check_pd_implies_positive_mu(lo, mu)
+    _check_pd_implies_positive_mu(lo, mu.min())
     margins = optimality_margins(d)
     edm = edm_violations(d)
     violation = float(np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins))) + edm
@@ -183,15 +190,22 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     )
 
 
-def _check_pd_implies_positive_mu(lo, mu) -> None:
+def _check_pd_implies_positive_mu(lo, mu_min) -> None:
     # diag(A_r + diag(mu)) = mu, so positive definiteness forces mu > 0;
-    # checked per row of a batch (one lo per row of mu)
-    lo, mu = np.atleast_1d(lo), np.atleast_2d(mu)
-    bad = (lo > PD_TOLERANCE) & ~np.all(mu > 0, axis=1)
+    # checked per row of a batch (one lo and one min mu per row)
+    lo, mu_min = np.atleast_1d(lo), np.atleast_1d(mu_min)
+    bad = (lo > PD_TOLERANCE) & ~(mu_min > 0)
     if bad.any():
         raise AssertionError(
-            f"positive definite shifted matrix with nonpositive mu: {mu[bad.argmax()]}"
+            f"positive definite shifted matrix with min mu {mu_min[bad.argmax()]}"
         )
+
+
+def _left_to_right(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a fancy-indexed (R, k) batch, added left to right at any R.
+    Such a batch has transposed strides, so np.sum adds its rows left to
+    right for R >= 2, but pairwise for R = 1, whose one row is contiguous."""
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 class _FastEvaluator:
@@ -213,6 +227,11 @@ class _FastEvaluator:
     (R, n, T) result is C-ordered, so the margins stay C-contiguous and
     the penalty keeps its pairwise sum.  A fancy-indexed D[:, edges] has
     transposed strides, and the penalty's last bits then move at n >= 9.
+    The positivity and triangle terms are such gathers; _left_to_right sums
+    them in the one order that np.sum gives them at R >= 2.
+    The terms that lambda does not touch (distance_terms) are a pure
+    function of a row of D, so a caller may compute them once per
+    distance row and pass them to every evaluation of that row.
     """
 
     def __init__(self, n: int):
@@ -238,17 +257,35 @@ class _FastEvaluator:
             [i * n + j for i in range(n) for j in range(n) if i != j]
         )
 
+        # theta_dim of a dim x dim Cholesky (see evaluate), plus 6u for the
+        # roundings of the shift
+        u, m = np.finfo(float).eps / 2, self.dim  # the unit roundoff, the order
+        gamma = (m + 1) * u / (1 - (m + 1) * u)
+        self.screen_rel = m * gamma / (1 - m * gamma) + 6 * u
+
     def margins(self, D: np.ndarray) -> np.ndarray:
         """Row r: optimality margins of the distances in row r of D."""
         lengths = np.take(D, self.edges, axis=1).sum(axis=1)
         return lengths[:, 1:] - lengths[:, :1]
 
-    def evaluate(self, D: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    def distance_terms(self, D: np.ndarray) -> tuple:
+        """Per row of D, the terms of its score that lambda does not touch:
+        mu's distance part D @ B^T - D @ TY^T, the penalty and max|d|."""
+        margins = self.margins(D)
+        violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
+        violation += _left_to_right(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]))
+        t0, t1, t2 = self.tri
+        violation += _left_to_right(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]))
+        return D @ self.B.T - D @ self.TY.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
+
+    def evaluate(
+        self, D: np.ndarray, L: np.ndarray, floor: np.ndarray, terms: tuple | None = None
+    ) -> np.ndarray:
         """Scores of a batch: row r of D is a flattened distance matrix and
-        row r of L its lambda.  A row whose score cannot exceed floor[r]
-        scores -inf without an eigensolve; every other row gets its exact
-        score, so a caller that accepts only scores > floor sees the same
-        decisions.
+        row r of L its lambda; `terms`, if given, is distance_terms(D).  A
+        row whose score cannot exceed floor[r] may score -inf without an
+        eigensolve; every other row gets its exact score, so a caller that
+        accepts only scores > floor sees the same decisions.
 
         The bound: diag M = mu, so lambda_min(M) <= min(mu) (Rayleigh-Ritz).
         eigvalsh's eigenvalues are exact for some M + E with ||E||_2 a
@@ -256,23 +293,55 @@ class _FastEvaluator:
         max|d|; the slack, 1e-12 (about 4500 eps) times that norm bound,
         covers the error with room to spare.  Rounding is monotone, so a
         pruned row's computed score could not have exceeded floor either.
+
+        The screen, on a row the bound keeps whose floor f, penalty p and
+        mu are finite (all magnitudes below SCREEN_MAGNITUDE_CAP): with
+        s = fl(f + p) and c = theta_dim + 6u, shift the diagonal by
+        sigma = s - 2 (slack + c (max|mu| + |s|)) and factor fl(M - sigma I)
+        by Cholesky.  theta_dim = dim g / (1 - dim g), g = gamma_{dim+1} =
+        (dim + 1) u / (1 - (dim + 1) u), u the unit roundoff; theta_dim is
+        7.4e-13 at dim = 81.  If the factorization fails, lambda_min(fl(M - sigma I))
+        <= theta_dim * max(fl(mu - sigma), 0) (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., Thm 10.7; a nonpositive
+        diagonal entry fails at once and bounds lambda_min by itself).  The
+        shifted diagonal is off by at most u max|mu - sigma|, so
+        lambda_min(M) <= sigma + (theta_dim + 2u)(max|mu| + |sigma|), and
+        with eigvalsh's error inside the slack the computed lo is at most
+        sigma + (theta_dim + 2u)(max|mu| + |sigma|) + slack <= f + p: the
+        factor 2 and the extra 4u in c cover the roundings of f + p, of the
+        shift and of sigma.  Rounding is monotone, so fl(lo - p) <= f, and
+        the row scores -inf with no eigensolve.  The cap keeps every entry
+        and every product of the factorization far from overflow, where
+        Thm 10.7's model of the arithmetic holds.
         """
-        mu = (D @ self.B.T - D @ self.TY.T - L @ self.E_r) * self.inv_sign
-        margins = self.margins(D)
-        violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
-        violation += np.sum(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]), axis=1)
-        t0, t1, t2 = self.tri
-        violation += np.sum(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]), axis=1)
-        penalty = PENALTY_WEIGHT * violation
-        slack = 1e-12 * (np.abs(mu).max(1) + self.dim * np.abs(D).max(1))
-        solve = mu.min(1) + slack - penalty > floor
+        DB, penalty, dmax = self.distance_terms(D) if terms is None else terms
+        mu = (DB - L @ self.E_r) * self.inv_sign
+        mu_min, mu_max = mu.min(1), np.abs(mu).max(1)
+        slack = 1e-12 * (mu_max + self.dim * dmax)
+        solve = mu_min + slack - penalty > floor
 
         scores = np.full(len(D), -np.inf)
-        M = np.concatenate([D[solve], np.zeros((solve.sum(), 1))], axis=1)[:, self.T_cols]
-        M.reshape(len(M), self.dim**2)[:, :: self.dim + 1] += mu[solve]  # the diagonals
-        lo = np.linalg.eigvalsh(M)[:, 0]
-        _check_pd_implies_positive_mu(lo, mu[solve])
-        scores[solve] = lo - penalty[solve]
+        mu, mu_min, mu_max, dmax, slack, penalty, floor = (
+            a[solve] for a in (mu, mu_min, mu_max, dmax, slack, penalty, floor)
+        )
+        M = np.concatenate([D[solve], np.zeros((len(mu), 1))], axis=1)[:, self.T_cols]
+        diag = M.reshape(len(M), self.dim**2)[:, :: self.dim + 1]  # a view, zero so far
+
+        magnitude = mu_max + self.dim * dmax + np.abs(floor) + penalty
+        screened = magnitude < SCREEN_MAGNITUDE_CAP  # false on inf and nan too
+        # unscreened rows get sigma = 0, and their Cholesky result is unread;
+        # they may hold inf - inf, and a failed factorization flags invalid
+        with np.errstate(invalid="ignore"):
+            s = floor + penalty
+            sigma = s - 2 * (slack + self.screen_rel * (mu_max + np.abs(s)))
+            diag[:] = mu - np.where(screened, sigma, 0.0)[:, None]
+            lost = screened & np.isnan(cholesky_lo(M)[:, 0, 0])
+        diag[:] = 0.0 + mu  # A_r's zero diagonal plus mu, bit for bit
+
+        keep = np.flatnonzero(~lost)
+        lo = np.linalg.eigvalsh(M[keep])[:, 0]
+        _check_pd_implies_positive_mu(lo, mu_min[keep])
+        scores[np.flatnonzero(solve)[keep]] = lo - penalty[keep]
         return scores
 
 
@@ -312,7 +381,9 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
     restart; `trace` gets the best scores per coordinate step."""
     theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
     R, n_coords = theta.shape
-    best = ev.evaluate(*_split(cfg.n, theta), np.full(R, -np.inf))
+    D, L = _split(cfg.n, theta)
+    terms = ev.distance_terms(D)  # of each restart's current distances
+    best = ev.evaluate(D, L, np.full(R, -np.inf), terms)
     left = np.full(R, cfg.local_iters - 1)  # evaluations left after the start
     step = np.ones(R)
     improved = np.zeros(R, dtype=bool)
@@ -324,15 +395,24 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
         cand = np.concatenate([theta[live], theta[live]])  # +step rows, then -step rows
         cand[:m, c] += delta
         cand[m:, c] -= delta
+        if c < 2 * cfg.n:  # a point moves
+            cand_D, cand_L = _split(cfg.n, cand)
+            cand_terms = ev.distance_terms(cand_D)
+        else:  # a lambda step leaves the distances as they are
+            both = np.concatenate([live, live])
+            cand_D, cand_L = D[both], cand[:, 2 * cfg.n:]
+            cand_terms = tuple(a[both] for a in terms)
         # a -step with no budget left has floor +inf, so it is never solved
         floor = np.concatenate([best[live], np.where(left[live] > 1, best[live], np.inf)])
-        s = ev.evaluate(*_split(cfg.n, cand), floor)
+        s = ev.evaluate(cand_D, cand_L, floor, cand_terms)
         take_plus = s[:m] > best[live]
-        s = np.where(take_plus, s[:m], s[m:])
+        pick = np.where(take_plus, np.arange(m), np.arange(m, 2 * m))  # the row tried last
+        s = s[pick]
         acc = s > best[live]
-        rows = live[acc]
-        theta[rows] = np.where(take_plus[:, None], cand[:m], cand[m:])[acc]
-        best[rows] = s[acc]
+        rows, pick = live[acc], pick[acc]
+        theta[rows], D[rows], best[rows] = cand[pick], cand_D[pick], s[acc]
+        for a, b in zip(terms, cand_terms):
+            a[rows] = b[pick]
         improved[rows] = True
         left[live] -= np.where(take_plus, 1, 2)
         if c == n_coords - 1:  # end of a sweep

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tspdual import cli
+from tspdual import instance as instance_mod
 from tspdual.cli import main
 from tspdual.inverse import SearchConfig, SearchVerdict
 from tspdual.instance import DistanceMatrix, random_euclidean_instance, save_instance
@@ -357,7 +358,9 @@ class TestExperiment:
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])
 @pytest.mark.parametrize(
-    "source, n", [("n", 11), ("instance", 11), ("n", 100_000)], ids=["n", "instance", "n-100000"]
+    "source, n",
+    [("n", 11), ("instance", 11), ("n", 100_000), ("instance", 1000)],
+    ids=["n", "instance", "n-100000", "instance-1000"],
 )
 def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, command, source, n):
     def must_not_run(*args, **kwargs):
@@ -370,14 +373,28 @@ def test_oracle_size_checked_before_any_work(tmp_path, capsys, monkeypatch, comm
         monkeypatch.setattr(cli, "random_euclidean_instance", must_not_run)
         where = ["--n", str(n)]
     else:
-        path = tmp_path / "n11.json"
-        save_instance(path, random_euclidean_instance(n, 0)[0])
+        # a file is refused by its declared n, before its n^2 entries are checked
+        monkeypatch.setattr(instance_mod, "_reals", must_not_run)
+        monkeypatch.setattr(instance_mod, "validate_distance_matrix", must_not_run)
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "d": [0.0] * (n * n)}))
         where = ["--instance", str(path)]
     out = tmp_path / "out"
     assert main([command, *where, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: n = {n} exceeds enumeration guard 10\n"
     assert not out.exists()  # so no CSV either
+
+
+@pytest.mark.parametrize("n", [True, 1000.0, "1000", None], ids=["bool", "float", "str", "none"])
+def test_instance_n_not_an_int_keeps_its_message(tmp_path, capsys, n):
+    path = tmp_path / "bad-n.json"
+    path.write_text(json.dumps({"n": n, "d": [0.0] * 1_000_000}))
+    out = tmp_path / "out"
+    assert main(["reduce", "--instance", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: 'n' must be an integer >= 3, got {json.dumps(n)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["formulate", "reduce", "dual"])

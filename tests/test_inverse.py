@@ -156,6 +156,26 @@ class TestFeasibilityScore:
                 assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
                 assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == fast[r]
 
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_row_alone_equals_its_batch_row_with_many_violations(self, n):
+        # collapsed cities give many positivity terms and non-metric rows many
+        # triangle terms; their sums must not depend on the batch size, since
+        # the search reuses a row's distance terms across batches
+        rng = np.random.default_rng(n)
+        pts = rng.random((6, n, 2))
+        pts[:3, 1:] = pts[:3, -1:]  # cities 2..n coincide
+        D = inverse._points_dvec(n, pts.reshape(6, -1))
+        mat = np.triu(10.0 ** rng.uniform(-3, 3, (3, n, n)), 1)
+        D[3:] = (mat + mat.transpose(0, 2, 1)).reshape(3, -1)
+        L = rng.normal(size=(6, 2 * n - 3))
+        ev = evaluator(n)
+        terms = ev.distance_terms(D)
+        scores = ev.evaluate(D, L, np.full(6, -np.inf))
+        for r in range(6):
+            alone = ev.distance_terms(D[r:r + 1])
+            assert all(np.array_equal(a[r], b[0]) for a, b in zip(terms, alone))
+            assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == scores[r]
+
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_fast_margins_equal_replay_margins(self, n):
         rng = np.random.default_rng(n)
@@ -207,7 +227,7 @@ def scored_batches(draw):
     """(n, D, L): Euclidean rows, rows with collapsed cities (where A_r
     loses entries and lambda_min can equal min(mu) exactly) and non-metric
     rows spanning six decades, with lambdas at three scales."""
-    n = draw(st.sampled_from([4, 5, 7]))
+    n = draw(st.sampled_from([4, 5, 7, 10]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     row_kind = st.sampled_from(["points", "collapsed", "nonmetric"])
     kinds = draw(st.lists(row_kind, min_size=1, max_size=6))
@@ -225,26 +245,116 @@ def scored_batches(draw):
     return n, np.array(rows), rng.normal(scale=scale, size=(len(rows), 2 * n - 3))
 
 
+def unscreened(ev, D, L, floor, *terms):
+    """evaluate with the Cholesky screen off: no row is below its cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "SCREEN_MAGNITUDE_CAP", 0.0)
+        return ev.evaluate(D, L, floor, *terms)
+
+
 class TestBoundPruning:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(scored_batches())
     def test_pruned_rows_could_not_beat_the_floor(self, batch):
         n, D, L = batch
         ev = evaluator(n)
+        terms = ev.distance_terms(D)
         exact = ev.evaluate(D, L, np.full(len(D), -np.inf))
         assert np.isfinite(exact).all()
+        assert np.array_equal(ev.evaluate(D, L, np.full(len(D), -np.inf), terms), exact)
         floors = {
             "at": exact,
             "ulp-below": np.nextafter(exact, -np.inf),
             "ulp-above": np.nextafter(exact, np.inf),
             "far-below": exact - 1.0 - np.abs(exact),
         }
-        for name, floor in floors.items():
-            got = ev.evaluate(D, L, floor)
+        # around the screen's margin, and past it where the screen prunes
+        for k in (-12, -6, -3):
+            floors[f"1e{k}-below"] = exact - 10.0**k * (1.0 + np.abs(exact))
+            floors[f"1e{k}-above"] = exact + 10.0**k * (1.0 + np.abs(exact))
+        # every floor in one batch, rows never mix; the distance terms are
+        # computed once, as the search does for lambda steps
+        of = np.tile(np.arange(len(D)), len(floors))
+        args = D[of], L[of], np.concatenate(list(floors.values())), tuple(a[of] for a in terms)
+        got, bound_only = ev.evaluate(*args), unscreened(ev, *args)
+        # the rows the screen prunes, apart from the min-mu bound's
+        screened_out = (got == -np.inf) & (bound_only > -np.inf)
+        for name, rows in zip(floors, np.split(np.arange(len(of)), len(floors))):
+            got_f, bound_f, out_f = got[rows], bound_only[rows], screened_out[rows]
+            floor = floors[name]
             beats = exact > floor
-            assert np.array_equal(got[beats], exact[beats]), name
-            assert np.all((got[~beats] == exact[~beats]) | (got[~beats] == -np.inf)), name
-        assert np.all(ev.evaluate(D, L, np.full(len(D), np.inf)) == -np.inf)
+            assert np.array_equal(got_f[beats], exact[beats]), name
+            assert np.all((got_f[~beats] == exact[~beats]) | (got_f[~beats] == -np.inf)), name
+            assert np.array_equal(bound_f[~out_f], got_f[~out_f]), name
+            assert np.all(bound_f[out_f] <= floor[out_f]), name
+        assert np.all(ev.evaluate(D, L, np.full(len(D), np.inf), terms) == -np.inf)
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_screen_prunes_rows_the_bound_keeps(self, monkeypatch, n):
+        # Euclidean rows with lambda = 0: min(mu) sits far above lambda_min, so
+        # a floor halfway between the score and the bound keeps every row
+        # past the bound, and the screen prunes them all without an eigensolve
+        D = np.array([random_euclidean_instance(n, seed)[0].entries.ravel() for seed in range(8)])
+        L = np.zeros((8, 2 * n - 3))
+        ev = evaluator(n)
+        exact = ev.evaluate(D, L, np.full(8, -np.inf))
+        DB, penalty, _ = ev.distance_terms(D)
+        bound = (DB * ev.inv_sign).min(1) - penalty
+        assert np.all(bound - exact > 0.1)
+        floor = (exact + bound) / 2
+        solved, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(
+            inverse.np.linalg, "eigvalsh", lambda M: solved.append(len(M)) or eigvalsh(M)
+        )
+        # the bound alone solves every row, though none beats its floor
+        assert np.array_equal(unscreened(ev, D, L, floor), exact)
+        assert np.all(exact < floor) and sum(solved) == 8
+        solved.clear()
+        assert np.all(ev.evaluate(D, L, floor) == -np.inf)
+        assert sum(solved) == 0
+        below = np.nextafter(exact, -np.inf)
+        assert np.array_equal(ev.evaluate(D, L, below), exact)
+        assert sum(solved) == 8
+
+    def test_cholesky_gufunc_marks_exactly_the_failures(self):
+        # the screen reads a failed factorization as an all-NaN matrix from
+        # the gufunc behind np.linalg.cholesky; a numpy that changes this
+        # must fail here rather than prune wrongly
+        rng = np.random.default_rng(3)
+        dim = 36
+        X = rng.normal(size=(dim, dim))
+        spd = X @ X.T + dim * np.eye(dim)
+        eigs = np.linalg.eigvalsh(spd)
+        mats = [
+            spd,
+            spd - (eigs[0] + 1e-3) * np.eye(dim),  # one eigenvalue just below 0
+            np.eye(dim),
+            -np.eye(dim),
+            spd - eigs[0] * np.eye(dim) * (1 - 1e-6),  # barely positive definite
+            np.zeros((dim, dim)),
+            X + X.T,  # indefinite
+        ]
+        fails = np.array([False, True, False, True, False, True, True])
+        with np.errstate(invalid="ignore"):
+            out = inverse.cholesky_lo(np.array(mats))
+        assert np.array_equal(np.isnan(out).all(axis=(1, 2)), fails)
+        assert np.isfinite(out[~fails]).all()
+        for A, factor in zip(np.array(mats)[~fails], out[~fails]):
+            assert np.array_equal(factor, np.linalg.cholesky(A))
+        with pytest.raises(FloatingPointError):  # the flag errstate silences
+            with np.errstate(invalid="raise"):
+                inverse.cholesky_lo(np.array(mats))
+
+    def test_eigensolve_count_pinned(self, monkeypatch):
+        # rows that reach eigvalsh in a whole n = 7 search: 4736 with the
+        # min-mu bound alone; a change that turns the screen off fails here
+        solved, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(
+            inverse.np.linalg, "eigvalsh", lambda M: solved.append(len(M)) or eigvalsh(M)
+        )
+        cfg = SearchConfig(n=7, restarts=4, local_iters=2000, seed=77)
+        _search_chunk(evaluator(7), cfg, range(4))
+        assert sum(solved) == 2025
 
     def test_bound_prunes_losing_rows(self):
         # collapsed cities 2..n leave A_r = 0, so M = diag(mu) and the bound
@@ -313,8 +423,8 @@ class TestPairedProbes:
         ev = _FastEvaluator(cfg.n)
         used, evaluate = [], ev.evaluate
 
-        def counting(D, L, floor):
-            s = evaluate(D, L, floor)
+        def counting(D, L, floor, *terms):
+            s = evaluate(D, L, floor, *terms)
             used.append(1 if len(D) == 1 else 1 + int(s[0] <= floor[0] and floor[1] < np.inf))
             return s
 
@@ -347,7 +457,9 @@ class TestInverseSearch:
         cfg = SearchConfig(restarts=12, local_iters=2000, seed=4)
         ev = _FastEvaluator(4)
         sizes, evaluate = [], ev.evaluate
-        ev.evaluate = lambda D, L, floor: sizes.append(len(D)) or evaluate(D, L, floor)
+        ev.evaluate = lambda D, L, floor, *terms: sizes.append(len(D)) or evaluate(
+            D, L, floor, *terms
+        )
         s12, th12 = _search_chunk(ev, cfg, range(12))
         if step_floor == 1e-3:  # restarts left the chunk at different steps
             assert len(set(sizes)) > 2
