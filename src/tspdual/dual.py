@@ -81,7 +81,7 @@ class Verdict(Enum):
     ConfirmsTheorem2 = "ConfirmsTheorem2"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AscentResult:
     best_point: DualPoint
     best_value: float

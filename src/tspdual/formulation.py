@@ -15,11 +15,6 @@ from .errors import DimensionMismatch
 from .instance import DistanceMatrix, Tour
 
 
-def flat_index(n: int, city: int, position: int) -> int:
-    """0-based component of (city, position), both 1-based."""
-    return (position - 1) * n + (city - 1)
-
-
 @dataclass(frozen=True)
 class QpFormulation:
     """Objective matrix A (n^2 x n^2) and assignment constraints
@@ -37,35 +32,29 @@ class QpFormulation:
             arr.flags.writeable = False
 
 
+def assignment_constraints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C = I (x) 1^T (row j: every city at position j) and D = 1^T (x) I
+    (row i: city i at every position)."""
+    eye, ones = np.eye(n), np.ones((1, n))
+    return np.kron(eye, ones), np.kron(ones, eye)
+
+
 def build_formulation(d: DistanceMatrix) -> QpFormulation:
-    """Entrywise construction: A[(i,j),(k,j')] = d_ik whenever position j'
-    is the cyclic predecessor or successor of j, zero otherwise.
+    """A = (S + S^T) (x) d, with S the cyclic shift of positions: block
+    (j, j') is d whenever j' is the cyclic predecessor or successor of j.
     """
     n = d.n
-    A = np.zeros((n * n, n * n))
-    for j in range(1, n + 1):
-        prev = (j - 2) % n + 1
-        nxt = j % n + 1
-        for jp in (prev, nxt):
-            rows = slice((j - 1) * n, j * n)
-            cols = slice((jp - 1) * n, jp * n)
-            A[rows, cols] += d.entries
-    C = np.zeros((n, n * n))
-    D = np.zeros((n, n * n))
-    for j in range(1, n + 1):
-        C[j - 1, (j - 1) * n:j * n] = 1.0
-    for i in range(1, n + 1):
-        D[i - 1, (i - 1)::n] = 1.0
+    shift = np.roll(np.eye(n), 1, axis=1)
+    # kron gives 0 * -0.0 = -0.0 off the blocks; + 0.0 makes it +0.0
+    A = np.kron(shift + shift.T, d.entries) + 0.0
+    C, D = assignment_constraints(n)
     return QpFormulation(n=n, A=A, C=C, D=D, e=np.ones(n))
 
 
 def encode_tour(t: Tour) -> np.ndarray:
-    """Binary assignment vector of a tour."""
-    n = t.n
-    x = np.zeros(n * n)
-    for j, city in enumerate(t.order, start=1):
-        x[flat_index(n, city, j)] = 1.0
-    return x
+    """Binary assignment vector of a tour: row j of the position x city
+    grid is the unit vector of the city at position j."""
+    return np.eye(t.n)[np.subtract(t.order, 1)].ravel()
 
 
 def objective(f: QpFormulation, x) -> float:

@@ -85,7 +85,7 @@ class SearchVerdict(Enum):
     FeasibleCounterexample = "FeasibleCounterexample"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InverseSearchReport:
     best: InverseCandidate
     best_min_eig: float

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, TourDoesNotFixCityOne
-from .formulation import QpFormulation, encode_tour
+from .formulation import QpFormulation, assignment_constraints, encode_tour
 from .instance import Tour
 
 
@@ -57,16 +57,13 @@ def reduce_formulation(f: QpFormulation) -> ReducedProblem:
 
 
 def build_reduced_constraints(n: int) -> np.ndarray:
-    """(2n-3) x (n-1)^2 matrix: one row per position 2..n, one row per
-    city 2..n-1 (the city-n row is linearly dependent and dropped).
+    """(2n-3) x (n-1)^2 matrix: C and D restricted to Y, one row per
+    position 2..n, one row per city 2..n-1 (the city-n row is linearly
+    dependent and dropped).
     """
-    dim = (n - 1) ** 2
-    E = np.zeros((2 * n - 3, dim))
-    for j in range(2, n + 1):
-        E[j - 2, (j - 2) * (n - 1):(j - 1) * (n - 1)] = 1.0
-    for i in range(2, n):
-        E[(n - 1) + (i - 2), (i - 2)::(n - 1)] = 1.0
-    return E
+    C, D = assignment_constraints(n)
+    rows = np.vstack([C[1:], D[1:-1]]).reshape(-1, n, n)  # row, position, city
+    return rows[:, 1:, 1:].reshape(2 * n - 3, -1)
 
 
 @lru_cache(maxsize=None)

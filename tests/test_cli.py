@@ -39,6 +39,19 @@ class TestFormulate:
         A = np.loadtxt(out / "A.csv", delimiter=",")
         assert A.shape == (16, 16)
 
+    def test_negative_zero_distances_write_no_negative_zero(self, tmp_path):
+        d, _ = random_euclidean_instance(5, 3)
+        signed = d.entries.copy()
+        np.fill_diagonal(signed, -0.0)
+        signed[1, 3] = signed[3, 1] = -0.0
+        inst = tmp_path / "signed.json"
+        inst.write_text(json.dumps({"n": 5, "d": signed.ravel().tolist()}))
+        out = tmp_path / "out"
+        assert main(["formulate", "--instance", str(inst), "--out", str(out)]) == 0
+        for name in ("A.csv", "C.csv", "D.csv"):
+            cells = (out / name).read_text().replace("\n", ",").split(",")
+            assert "-0.0" not in cells and "0.0" in cells
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -8,7 +8,6 @@ from tspdual.errors import DimensionMismatch
 from tspdual.formulation import (
     build_formulation,
     encode_tour,
-    flat_index,
     objective,
 )
 from tspdual.instance import (
@@ -44,16 +43,22 @@ def stacked_vector_A(d: DistanceMatrix) -> np.ndarray:
 
 class TestBuildFormulation:
     def test_matches_stacked_vector_construction(self):
-        for n in (3, 4, 5):
+        # bytes, not values: array_equal cannot tell -0.0 from 0.0, and a
+        # -0.0 distance must reach A as the oracle's 0.0 + -0.0 = 0.0
+        for n in range(3, 11):
             d, _ = random_euclidean_instance(n, n + 100)
-            f = build_formulation(d)
-            assert np.array_equal(f.A, stacked_vector_A(d))
+            signed = d.entries.copy()
+            np.fill_diagonal(signed, -0.0)
+            signed[0, n - 1] = signed[n - 1, 0] = -0.0
+            for dm in (d, validate_distance_matrix(signed)):
+                A = build_formulation(dm).A
+                assert A.tobytes() == stacked_vector_A(dm).tobytes()
 
     def test_y_submatrix_block_structure(self, distinct_d4):
         # the 9x9 submatrix on cities/positions 2..4 is block-tridiagonal
         # in the trailing principal submatrix of d
         f = build_formulation(distinct_d4)
-        idx = [flat_index(4, i, j) for j in (2, 3, 4) for i in (2, 3, 4)]
+        idx = [(j - 1) * 4 + (i - 1) for j in (2, 3, 4) for i in (2, 3, 4)]
         sub = f.A[np.ix_(idx, idx)]
         d2 = distinct_d4.entries[1:, 1:]
         z = np.zeros((3, 3))

@@ -13,6 +13,7 @@ from tspdual.instance import (
     validate_distance_matrix,
 )
 from tspdual.reduction import (
+    build_reduced_constraints,
     embed_tour,
     linear_maps,
     reduce_formulation,
@@ -45,6 +46,21 @@ class TestReduce:
             dtype=float,
         )
         assert np.array_equal(r.E_r, expected_E)
+
+    def test_E_r_matches_its_definition(self):
+        for n in range(3, 11):
+            m = n - 1
+            expected = np.zeros((2 * n - 3, m * m))
+            for j in range(m):  # position j + 2: ones on its own block
+                expected[j, j * m:(j + 1) * m] = 1.0
+            for i in range(m - 1):  # city i + 2: ones at stride n - 1
+                expected[m + i, i::m] = 1.0
+            E_r = build_reduced_constraints(n)
+            # dual_value's E_r @ y sums in an order that follows the layout
+            assert E_r.dtype == np.float64 and E_r.flags.c_contiguous
+            assert E_r.tobytes() == expected.tobytes()
+            d, _ = random_euclidean_instance(n, n)
+            assert reduce_formulation(build_formulation(d)).E_r.tobytes() == expected.tobytes()
 
     def test_c0_zero(self):
         for n in (3, 4, 5):
