@@ -16,11 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotDualFeasible,
-    StartNotDualFeasible,
-)
+from .errors import NotDualFeasible, TspdualError
 from .instance import OracleResult
 from .reduction import ReducedProblem, reduced_objective
 
@@ -99,7 +95,7 @@ def point(lam, mu) -> DualPoint:
 def assemble(r: ReducedProblem, p: DualPoint) -> tuple[np.ndarray, np.ndarray]:
     """Shifted matrix A_r + diag(mu) and vector b_r + mu/2 - E_r^T lam."""
     if p.lam.shape != (r.n_multipliers,) or p.mu.shape != (r.dim,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"expected lambda length {r.n_multipliers} and mu length {r.dim}, "
             f"got {p.lam.shape} and {p.mu.shape}"
         )
@@ -198,7 +194,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
     try:
         ev = dual_value(r, p)
     except NotDualFeasible as exc:
-        raise StartNotDualFeasible(f"start is not dual feasible: {exc}") from None
+        raise TspdualError(f"start is not dual feasible: {exc}") from None
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
     step = INITIAL_STEP
     stall = 0

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .instance import DistanceMatrix, Tour
 
 
@@ -66,5 +65,5 @@ def objective(f: QpFormulation, x) -> float:
 def _as_vector(f: QpFormulation, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (f.n * f.n,):
-        raise DimensionMismatch(f"expected length {f.n * f.n}, got shape {x.shape}")
+        raise ValueError(f"expected length {f.n * f.n}, got shape {x.shape}")
     return x

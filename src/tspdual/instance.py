@@ -13,17 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AsymmetricMatrix,
-    DimensionMismatch,
-    InstanceError,
-    InstanceTooLarge,
-    NegativeDistance,
-    NonFiniteDistance,
-    NonzeroDiagonal,
-    TriangleViolation,
-    UnreadableJson,
-)
+from .errors import InstanceError, TspdualError
 
 MIN_CITIES = 3
 ORACLE_MAX_CITIES = 10
@@ -82,19 +72,19 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
     bad = np.argwhere(~np.isfinite(mat))
     if len(bad):
         i, j = (int(k) for k in bad[0])
-        raise NonFiniteDistance(i + 1, j + 1, mat[i, j])
+        raise InstanceError(f"{_entry(mat, i, j)} is not finite")
     diagonal = np.flatnonzero(np.diag(mat) != 0.0)
     if diagonal.size:
         i = int(diagonal[0])
-        raise NonzeroDiagonal(i + 1, mat[i, i])
+        raise InstanceError(f"{_entry(mat, i, i)} must be zero")
     # pairs i < j in row-major order; asymmetry is reported before sign
     upper = np.triu_indices(n, 1)
     bad = np.flatnonzero((mat[upper] != mat.T[upper]) | (mat[upper] < 0.0))
     if bad.size:
         i, j = int(upper[0][bad[0]]), int(upper[1][bad[0]])
         if mat[i, j] != mat[j, i]:
-            raise AsymmetricMatrix(i + 1, j + 1, mat[i, j], mat[j, i])
-        raise NegativeDistance(i + 1, j + 1, mat[i, j])
+            raise InstanceError(f"{_entry(mat, i, j)} != {_entry(mat, j, i)}")
+        raise InstanceError(f"{_entry(mat, i, j)} is negative")
     # entries are >= 0, so a finite total bounds every sum the program forms
     # of them: tour lengths, twice a tour length, and d_i1 + d_1i
     with np.errstate(over="ignore"):
@@ -111,14 +101,22 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
             bad = np.argwhere(mat[i][:, None] > detour)
             if len(bad):
                 j, k = (int(v) for v in bad[0])
-                raise TriangleViolation(i + 1, j + 1, k + 1, mat[i, j], detour[j, k])
+                raise InstanceError(
+                    f"{_entry(mat, i, j)} > "
+                    f"d[{i + 1},{k + 1}] + d[{k + 1},{j + 1}] = {float(detour[j, k])!r}"
+                )
     return DistanceMatrix(n=n, entries=mat)
+
+
+def _entry(mat: np.ndarray, i: int, j: int) -> str:
+    """`d[i,j] = value` of 0-based entry (i, j), with 1-based indices."""
+    return f"d[{i + 1},{j + 1}] = {float(mat[i, j])!r}"
 
 
 def tour_length(d: DistanceMatrix, t: Tour) -> float:
     """Cyclic tour length, including the closing edge back to the start."""
     if t.n != d.n:
-        raise DimensionMismatch(f"tour has {t.n} cities, matrix has {d.n}")
+        raise ValueError(f"tour has {t.n} cities, matrix has {d.n}")
     total = 0.0
     for j in range(t.n):
         total += d.entries[t.order[j] - 1, t.order[(j + 1) % t.n] - 1]
@@ -138,9 +136,9 @@ def canonical_tour(t: Tour) -> Tour:
 
 
 def require_oracle_size(n: int) -> None:
-    """Raise InstanceTooLarge unless the oracle can enumerate n cities."""
+    """Raise InstanceError unless the oracle can enumerate n cities."""
     if n > ORACLE_MAX_CITIES:
-        raise InstanceTooLarge(f"n = {n} exceeds enumeration guard {ORACLE_MAX_CITIES}")
+        raise InstanceError(f"n = {n} exceeds enumeration guard {ORACLE_MAX_CITIES}")
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +160,7 @@ def tour_lengths(d: DistanceMatrix, tours: np.ndarray) -> np.ndarray:
     from 0.0 as tour_length does, so the two agree bit for bit."""
     n = tours.shape[1]
     if n != d.n:
-        raise DimensionMismatch(f"tours have {n} cities, matrix has {d.n}")
+        raise ValueError(f"tours have {n} cities, matrix has {d.n}")
     lengths = np.zeros(len(tours))
     for j in range(n):
         lengths += d.entries[tours[:, j], tours[:, (j + 1) % n]]
@@ -206,14 +204,15 @@ def load_instance(path) -> tuple[DistanceMatrix, np.ndarray | None]:
 def read_json(path):
     """Parsed contents of a JSON file.  Bytes that are not UTF-8 raise
     UnicodeDecodeError, malformed text json.JSONDecodeError, and JSON that
-    Python cannot hold UnreadableJson."""
+    Python cannot hold (an integer past the 4300-digit conversion limit,
+    nesting past the recursion limit) TspdualError."""
     text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
     except (ValueError, RecursionError) as exc:
-        raise UnreadableJson(str(exc)) from None
+        raise TspdualError(str(exc)) from None
 
 
 def instance_from_dict(payload) -> tuple[DistanceMatrix, np.ndarray | None]:

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, TourDoesNotFixCityOne
 from .formulation import QpFormulation, assignment_constraints, encode_tour
 from .instance import Tour
 
@@ -45,8 +44,9 @@ def reduce_formulation(f: QpFormulation) -> ReducedProblem:
     n, dim = f.n, (f.n - 1) ** 2
     grid = f.A.reshape(n, n, n, n)  # position, city, position', city'
     # with x_11 = grid[0, 0] at 1 and the rest of X1 at 0, the linear term
-    # is x_11's coupling with Y, from both sides
-    b_r = -0.5 * (grid[1:, 1:, 0, 0] + grid[0, 0, 1:, 1:]).ravel()
+    # is x_11's coupling with Y, from both sides; -0.5 * 0.0 is -0.0 off
+    # positions 2 and n, and + 0.0 makes it +0.0
+    b_r = -0.5 * (grid[1:, 1:, 0, 0] + grid[0, 0, 1:, 1:]).ravel() + 0.0
     return ReducedProblem(
         n=n,
         A_r=grid[1:, 1:, 1:, 1:].reshape(dim, dim),
@@ -90,14 +90,14 @@ def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
 def embed_tour(t: Tour) -> np.ndarray:
     """Binary Y for a tour that keeps city 1 in position 1."""
     if t.order[0] != 1:
-        raise TourDoesNotFixCityOne(f"tour {t.order} does not start at city 1")
+        raise ValueError(f"tour {t.order} does not start at city 1")
     return encode_tour(t).reshape(t.n, t.n)[1:, 1:].ravel()
 
 
 def reduced_objective(r: ReducedProblem, y) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (r.dim,):
-        raise DimensionMismatch(f"expected length {r.dim}, got shape {y.shape}")
+        raise ValueError(f"expected length {r.dim}, got shape {y.shape}")
     return 0.5 * float(y @ r.A_r @ y) - float(r.b_r @ y)
 
 

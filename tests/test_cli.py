@@ -51,6 +51,16 @@ class TestFormulate:
         for name in ("A.csv", "C.csv", "D.csv"):
             cells = (out / name).read_text().replace("\n", ",").split(",")
             assert "-0.0" not in cells and "0.0" in cells
+        # b_r's structural zeros too, on this file and on a generated one
+        for source in (["--instance", str(inst)], ["--n", "4", "--seed", "1"]):
+            red = tmp_path / "reduced"
+            assert main(["reduce", *source, "--out", str(red)]) == 0
+            payload = read_json(red / "reduced.json")
+            values = np.concatenate(
+                [np.ravel(payload[key]) for key in ("A_r", "b_r", "E_r", "c0")]
+            )
+            zeros = values[values == 0.0]
+            assert zeros.size and not np.signbit(zeros).any()
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -506,6 +516,14 @@ def test_program_error_is_not_an_input_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.inverse_mod, "inverse_search", broken)
     with pytest.raises(ValueError, match="cannot reshape array"):
         main(["inverse", "--out", str(tmp_path / "o")])
+    # a shape check inside the program: one mu too many for assemble
+    def long_mu(r):
+        return cli.dual_mod.point(np.zeros(r.n_multipliers), np.ones(r.dim + 1))
+
+    monkeypatch.setattr(cli.dual_mod, "default_start", long_mu)
+    with pytest.raises(ValueError) as exc:
+        main(["dual", "--n", "4", "--out", str(tmp_path / "d")])
+    assert str(exc.value) == "expected lambda length 5 and mu length 9, got (5,) and (10,)"
 
 
 # (id, file bytes): not UTF-8, an integer past Python's 4300-digit limit,

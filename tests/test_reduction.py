@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from tspdual.errors import TourDoesNotFixCityOne
 from tspdual.formulation import build_formulation, encode_tour, objective
 from tspdual.instance import (
     DistanceMatrix,
@@ -148,8 +147,9 @@ class TestEmbedTour:
         assert list(np.nonzero(y)[0]) == [1, 5, 6]
 
     def test_rejects_unfixed_tour(self):
-        with pytest.raises(TourDoesNotFixCityOne):
+        with pytest.raises(ValueError) as exc:
             embed_tour(Tour((2, 1, 3, 4)))
+        assert str(exc.value) == "tour (2, 1, 3, 4) does not start at city 1"
 
     def test_constraints_satisfied(self):
         for n in (3, 4, 5):
