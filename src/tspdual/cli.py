@@ -162,12 +162,12 @@ def cmd_formulate(d: DistanceMatrix, config: dict) -> Result:
 
 
 def _paper_structure_match(d: DistanceMatrix, r) -> bool:
-    # the paper's n=4 closed forms, A_r block-tridiagonal in d2 and
-    # b_r = (-d1; 0; -d1), as reduction.linear_maps writes them for any n
-    a_index, b_map = linear_maps(d.n)
-    dvec = d.entries.ravel()
-    A_expect = np.append(dvec, 0.0)[a_index]
-    return np.array_equal(r.A_r, A_expect) and np.array_equal(r.b_r, b_map @ dvec)
+    # the paper's n=4 closed forms, A_r block-tridiagonal in d2 (the gather
+    # of reduction.linear_maps) and b_r = (-d1; 0; -d1), written for any n
+    n, d1 = d.n, d.entries[0, 1:]
+    A_expect = np.append(d.entries.ravel(), 0.0)[linear_maps(n)[0]]
+    b_expect = np.concatenate([-d1, np.zeros((n - 3) * (n - 1)), -d1])
+    return np.array_equal(r.A_r, A_expect) and np.array_equal(r.b_r, b_expect)
 
 
 def cmd_reduce(d: DistanceMatrix, config: dict) -> Result:

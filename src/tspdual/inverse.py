@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 # the gufunc behind np.linalg.cholesky: a stack is factored matrix by matrix,
@@ -28,18 +29,11 @@ from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
     DistanceMatrix,
-    Tour,
     canonical_tours,
     tour_lengths,
     validate_distance_matrix,
 )
-from .reduction import (
-    ReducedProblem,
-    build_reduced_constraints,
-    embed_tour,
-    linear_maps,
-    reduce_formulation,
-)
+from .reduction import ReducedProblem, default_target, linear_maps, reduce_formulation
 
 STRICTNESS_MARGIN = 1e-6   # numerical margin standing in for strict inequalities
 STATIONARITY_TOL = 1e-10
@@ -109,12 +103,6 @@ class InverseSearchReport:
         return payload
 
 
-def default_target(n: int) -> np.ndarray:
-    """Embedding of the identity tour (1, 2, ..., n), row 0 of
-    canonical_tours(n): the target Y-bar of the search."""
-    return embed_tour(Tour(tuple(range(1, n + 1))))
-
-
 def eliminate_mu(r: ReducedProblem, lam: np.ndarray) -> np.ndarray:
     """Closed-form mu from the stationarity system at the target Y-bar:
     mu_i (Ybar_i - 1/2) = b_ri - [A_r Ybar]_i - [E_r^T lam]_i.
@@ -134,24 +122,29 @@ def optimality_margins(d: DistanceMatrix) -> np.ndarray:
     return lengths[1:] - lengths[0]
 
 
+@lru_cache(maxsize=None)
+def _triples(n: int) -> np.ndarray:
+    """Flat indices (ij, ik, kj) of the ordered triples (i, j, k) of distinct
+    cities in lexicographic order, n - 2 per pair (i, j): the terms of every
+    triangle inequality d_ij <= d_ik + d_kj."""
+    i, j, k = np.array(list(itertools.permutations(range(n), 3))).T
+    triples = np.array([i * n + j, i * n + k, k * n + j])
+    triples.flags.writeable = False
+    return triples
+
+
 def edm_violations(d: DistanceMatrix) -> float:
     """Total magnitude of Euclidean-distance-matrix violations: off-diagonal
     positivity (with the strictness margin) and triangle inequalities.
-    Symmetry and zero diagonal are structural and checked upstream.
+    Symmetry and zero diagonal are structural and checked upstream.  The
+    terms are added left to right, one pair (i, j) at a time in row-major
+    order: its positivity term, then its triangle terms in k.
     """
-    mat = d.entries
-    n = d.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            total += max(0.0, STRICTNESS_MARGIN - mat[i, j])
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                total += max(0.0, mat[i, j] - mat[i, k] - mat[k, j])
-    return total
+    n, dvec = d.n, d.entries.ravel()
+    ij, ik, kj = _triples(n)
+    positivity = np.maximum(0.0, STRICTNESS_MARGIN - dvec[ij[:: n - 2]])
+    triangle = np.maximum(0.0, dvec[ij] - dvec[ik] - dvec[kj]).reshape(-1, n - 2)
+    return float(np.cumsum(np.column_stack([positivity, triangle]))[-1])
 
 
 @dataclass(frozen=True)
@@ -211,15 +204,14 @@ def _left_to_right(terms: np.ndarray) -> np.ndarray:
 class _FastEvaluator:
     """Batched score evaluation for the lockstep search loop.
 
-    A_r and b_r are linear and homogeneous in the distance entries, so
-    both are read as linear maps over the flattened d from their closed
-    forms in reduction.linear_maps, independent of the formulation and
-    reduction chain that feasibility_score replays.  Results agree
-    with feasibility_score to rounding, and each row of a batch is
-    bit-identical to the same row evaluated alone.  The 0/1 map into A_r
-    is a gather.  Every row of B, TY and E_r^T has at most two nonzeros,
-    each -1/2 or 1, so in mu's three matmuls every product is exact and
-    every entry is one rounding of a two-term sum, whatever the order or
+    A_r and mu are read from their closed forms in reduction.linear_maps,
+    independent of the formulation and reduction chain that
+    feasibility_score replays.  Results agree with feasibility_score to
+    rounding, and each row of a batch is bit-identical to the same row
+    evaluated alone.  The 0/1 map into A_r is a gather.  mu = D @ mu_d^T +
+    L @ mu_lam^T, and every row of mu_d and mu_lam has at most two
+    nonzeros, each +-2, so every product is exact and every entry of each
+    matmul is one rounding of a two-term sum, whatever the order or
     blocking of the summation.
     Tour lengths sum an edge gather in tour order (edges[a, t] indexes
     edge a of tour t; the target is tour 0), so the margins equal
@@ -237,25 +229,14 @@ class _FastEvaluator:
     def __init__(self, n: int):
         self.n = n
         self.dim = (n - 1) ** 2
-        self.ybar = default_target(n)
-        self.E_r = build_reduced_constraints(n)
-        self.inv_sign = 1.0 / (self.ybar - 0.5)  # +-2
-
         # A_r entries are picked from d, or from a zero column appended at n^2
-        self.T_cols, self.B = linear_maps(n)
-        # TY @ d = A_r @ ybar: per row of A_r, the count of target components
-        # that read each entry of d
-        picks = self.T_cols[:, :, None] == np.arange(n * n)
-        self.TY = (picks * self.ybar[None, :, None]).sum(1)
+        self.a_index, self.mu_d, self.mu_lam = linear_maps(n)
 
         tours = canonical_tours(n).astype(np.intp)
         self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()
 
-        i, j, k = np.array(list(itertools.permutations(range(n), 3))).T
-        self.tri = (i * n + j, i * n + k, k * n + j)
-        self.offdiag = np.array(
-            [i * n + j for i in range(n) for j in range(n) if i != j]
-        )
+        self.tri = _triples(n)
+        self.offdiag = self.tri[0][:: n - 2]  # pairs i != j in row-major order
 
         # theta_dim of a dim x dim Cholesky (see evaluate), plus 6u for the
         # roundings of the shift
@@ -270,13 +251,13 @@ class _FastEvaluator:
 
     def distance_terms(self, D: np.ndarray) -> tuple:
         """Per row of D, the terms of its score that lambda does not touch:
-        mu's distance part D @ B^T - D @ TY^T, the penalty and max|d|."""
+        mu's distance part D @ mu_d^T, the penalty and max|d|."""
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += _left_to_right(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]))
         t0, t1, t2 = self.tri
         violation += _left_to_right(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]))
-        return D @ self.B.T - D @ self.TY.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
+        return D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
 
     def evaluate(
         self, D: np.ndarray, L: np.ndarray, floor: np.ndarray, terms: tuple | None = None
@@ -314,8 +295,8 @@ class _FastEvaluator:
         and every product of the factorization far from overflow, where
         Thm 10.7's model of the arithmetic holds.
         """
-        DB, penalty, dmax = self.distance_terms(D) if terms is None else terms
-        mu = (DB - L @ self.E_r) * self.inv_sign
+        mu_of_d, penalty, dmax = self.distance_terms(D) if terms is None else terms
+        mu = mu_of_d + L @ self.mu_lam.T
         mu_min, mu_max = mu.min(1), np.abs(mu).max(1)
         slack = 1e-12 * (mu_max + self.dim * dmax)
         solve = mu_min + slack - penalty > floor
@@ -324,7 +305,7 @@ class _FastEvaluator:
         mu, mu_min, mu_max, dmax, slack, penalty, floor = (
             a[solve] for a in (mu, mu_min, mu_max, dmax, slack, penalty, floor)
         )
-        M = np.concatenate([D[solve], np.zeros((len(mu), 1))], axis=1)[:, self.T_cols]
+        M = np.concatenate([D[solve], np.zeros((len(mu), 1))], axis=1)[:, self.a_index]
         diag = M.reshape(len(M), self.dim**2)[:, :: self.dim + 1]  # a view, zero so far
 
         magnitude = mu_max + self.dim * dmax + np.abs(floor) + penalty

@@ -67,24 +67,30 @@ def build_reduced_constraints(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms of A_r and b_r as read-only maps of the flattened d,
-    built once per n.  A_r = P (x) d2, with P the path adjacency of
-    positions 2..n and d2 = d[2..n, 2..n]: A_r[a, b] is entry a_index[a, b]
-    of d.ravel() extended by a zero at index n^2.  b_r = b_map @ d.ravel():
-    -(d_i1 + d_1i)/2 in the rows of positions 2 and n, zero elsewhere.
+def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of the reduced problem at the identity target Y-bar, as
+    read-only maps (a_index, mu_d, mu_lam) built once per n.  A_r = P (x) d2,
+    with P the path adjacency of positions 2..n and d2 = d[2..n, 2..n]:
+    A_r[a, b] is entry a_index[a, b] of d.ravel() extended by a zero at
+    index n^2.  For symmetric d, stationarity at Y-bar gives mu = mu_d @
+    d.ravel() + mu_lam @ lam.  mu_d = (b_r - A_r Y-bar) / (Y-bar - 1/2):
+    row (position p, city c) reads d_ca and d_cb, where a and b are the
+    identity tour's cities at positions p -+ 1 (city 1 at position 1).
+    mu_lam = -E_r^T / (Y-bar - 1/2).  Every row of mu_d and mu_lam has at
+    most two nonzeros, each +-2.
     """
     m = n - 1
     pos, city = np.divmod(np.arange(m * m), m)  # offsets of position and city from 2
     adjacent = np.abs(pos[:, None] - pos[None, :]) == 1
     a_index = np.where(adjacent, (city[:, None] + 1) * n + city + 1, n * n)
-    ends = np.flatnonzero((pos == 0) | (pos == m - 1))
-    b_map = np.zeros((m * m, n * n))
-    b_map[ends, (city[ends] + 1) * n] = -0.5  # d_i1
-    b_map[ends, city[ends] + 1] = -0.5        # d_1i
-    a_index.flags.writeable = False
-    b_map.flags.writeable = False
-    return a_index, b_map
+    sign = np.where(pos == city, -2.0, 2.0)  # -1 / (Y-bar - 1/2)
+    mu_d = np.zeros((m * m, n * n))
+    for a in (pos, (pos + 2) % n):  # 0-based cities at positions p -+ 1
+        mu_d[np.arange(m * m), (city + 1) * n + a] = sign
+    mu_lam = np.where(build_reduced_constraints(n).T != 0, sign[:, None], 0.0)
+    for arr in (a_index, mu_d, mu_lam):
+        arr.flags.writeable = False
+    return a_index, mu_d, mu_lam
 
 
 def embed_tour(t: Tour) -> np.ndarray:
@@ -92,6 +98,12 @@ def embed_tour(t: Tour) -> np.ndarray:
     if t.order[0] != 1:
         raise ValueError(f"tour {t.order} does not start at city 1")
     return encode_tour(t).reshape(t.n, t.n)[1:, 1:].ravel()
+
+
+def default_target(n: int) -> np.ndarray:
+    """Embedding of the identity tour (1, 2, ..., n), row 0 of
+    canonical_tours(n): the target Y-bar of the inverse search."""
+    return embed_tour(Tour(tuple(range(1, n + 1))))
 
 
 def reduced_objective(r: ReducedProblem, y) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -25,14 +26,13 @@ from tspdual.inverse import (
     SearchVerdict,
     _FastEvaluator,
     _search_chunk,
-    default_target,
     edm_violations,
     eliminate_mu,
     feasibility_score,
     inverse_search,
     optimality_margins,
 )
-from tspdual.reduction import reduce_formulation
+from tspdual.reduction import default_target, embed_tour, reduce_formulation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +75,48 @@ class TestEliminateMu:
             assert feasibility_score(d, lam).stationarity_residual == residual
 
 
+def reversal(n):
+    """z = Y' - Y-bar: the embedding of the identity tour reversed, (1, n,
+    n - 1, ..., 2), minus the target's."""
+    return embed_tour(Tour((1, *range(n, 1, -1)))) - default_target(n)
+
+
+def reversal_form(entries, lam):
+    """z^T M z, with M = A_r + diag(mu) and mu from eliminate_mu."""
+    n = len(entries)
+    r = reduce_formulation(build_formulation(DistanceMatrix(n, entries)))
+    M = r.A_r + np.diag(eliminate_mu(r, lam))
+    z = reversal(n)
+    return z @ M @ z, M
+
+
+class TestReversalIdentity:
+    """Stationarity at Y-bar gives L(Y') - L(Y-bar) = z^T M z / 2, and for
+    symmetric d both tours have the same length, so z^T M z = 0 for every
+    d and lambda: lambda_min(M) <= 0 and M is never positive definite."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_exact_on_every_basis_point(self, n):
+        assert np.count_nonzero(reversal(n)) == 4 * ((n - 1) // 2)
+        # z^T M z is linear in (d, lambda), and on these points every entry
+        # of A_r, b_r and mu is a small multiple of 1/2, so float64 is exact
+        no_lam = np.zeros(2 * n - 3)
+        for i, j in itertools.combinations(range(n), 2):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            assert reversal_form(basis, no_lam)[0] == 0.0, (i, j)
+        for k, unit in enumerate(np.eye(2 * n - 3)):
+            assert reversal_form(np.zeros((n, n)), unit)[0] == 0.0, k
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 10), st.integers(0, 2**32 - 1))
+    def test_rounds_to_zero_on_random_points(self, n, seed):
+        rng = np.random.default_rng(seed)
+        mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)  # six decades
+        value, M = reversal_form(mat + mat.T, rng.normal(scale=100.0, size=2 * n - 3))
+        assert abs(value) <= 1e-14 * np.abs(M).sum()
+
+
 class TestOptimalityMargins:
     def test_unit_square(self, unit_square):
         margins = optimality_margins(unit_square)
@@ -91,7 +133,49 @@ class TestOptimalityMargins:
         assert optimality_margins(distinct_d4).shape == (2,)
 
 
+def edm_violations_loop(d):
+    """Reference for edm_violations: the triple loop it replaced."""
+    mat, n, total = d.entries, d.n, 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            total += max(0.0, inverse.STRICTNESS_MARGIN - mat[i, j])
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                total += max(0.0, mat[i, j] - mat[i, k] - mat[k, j])
+    return total
+
+
 class TestEdmViolations:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_equals_the_loop_bit_for_bit(self, n):
+        # Euclidean (no terms), collapsed cities (many positivity terms),
+        # six-decade non-metric (many triangle terms), and non-metric with
+        # cities k.. closer than the strictness margin, where one pair
+        # carries both kinds, so moving its positivity term moves bits
+        rng = np.random.default_rng(n)
+        for trial in range(10):
+            pts = rng.random((n, 2))
+            k = rng.integers(0, n - 1)
+            collapsed = pts.copy()
+            collapsed[k:] = collapsed[-1]
+            collapsed[0] += 1e-7 * trial  # positivity terms of varied size
+            mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+            near = mat.copy()
+            near[k:, k:] *= 1e-9
+            for entries in (
+                inverse._points_dvec(n, pts.ravel()[None])[0],
+                inverse._points_dvec(n, collapsed.ravel()[None])[0],
+                (mat + mat.T).ravel(),
+                (near + near.T).ravel(),
+            ):
+                d = DistanceMatrix(n, entries.reshape(n, n))
+                got, expected = edm_violations(d), edm_violations_loop(d)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
     def test_euclidean_instance_clean(self):
         d, _ = random_euclidean_instance(4, 12)
         assert edm_violations(d) == 0.0
@@ -205,13 +289,13 @@ class TestFeasibilityScore:
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_fast_maps_have_exact_products(self, n):
-        # at most two nonzeros per row, each -1/2 or 1: every product in
-        # mu's matmuls is exact and each entry is one rounded two-term sum,
+        # at most two nonzeros per row, each +-2: every product in mu's
+        # matmuls is exact and each entry is one rounded two-term sum,
         # which is what makes a batch row bit-equal to the row alone
         ev = evaluator(n)
-        for m in (ev.B, ev.TY, ev.E_r.T):
+        for m in (ev.mu_d, ev.mu_lam):
             assert np.count_nonzero(m, axis=1).max() <= 2
-            assert set(np.unique(m[m != 0])) <= {-0.5, 1.0}
+            assert set(np.unique(m[m != 0])) <= {-2.0, 2.0}
 
     def test_fast_evaluator_holds_no_dense_tour_rows(self):
         n = 10
@@ -298,8 +382,8 @@ class TestBoundPruning:
         L = np.zeros((8, 2 * n - 3))
         ev = evaluator(n)
         exact = ev.evaluate(D, L, np.full(8, -np.inf))
-        DB, penalty, _ = ev.distance_terms(D)
-        bound = (DB * ev.inv_sign).min(1) - penalty
+        mu, penalty, _ = ev.distance_terms(D)  # lambda = 0: mu is its distance part
+        bound = mu.min(1) - penalty
         assert np.all(bound - exact > 0.1)
         floor = (exact + bound) / 2
         solved, eigvalsh = [], np.linalg.eigvalsh

@@ -11,6 +11,7 @@ from tspdual.instance import (
     random_euclidean_instance,
     validate_distance_matrix,
 )
+from tspdual.inverse import eliminate_mu
 from tspdual.reduction import (
     build_reduced_constraints,
     embed_tour,
@@ -89,43 +90,71 @@ class TestReduce:
             assert np.linalg.matrix_rank(r.E_r) == 2 * n - 3
 
 
-def probed_maps(n):
-    """Reference for linear_maps: A_r and b_r are linear in d, so reducing
-    the full formulation of each basis matrix reads off one column of each
-    map.  Returns (gather index of A_r with n^2 for a zero, b_r map)."""
+def probed_index(n):
+    """Reference for linear_maps' gather: A_r is linear in d, so reducing
+    the full formulation of each basis matrix reads off one column of its
+    map.  Returns the gather index of A_r, with n^2 for a zero."""
     n2, dim = n * n, (n - 1) ** 2
     T = np.zeros((dim * dim, n2))
-    B = np.zeros((dim, n2))
     for m in range(n2):
         basis = np.zeros((n, n))
         basis[m // n, m % n] = 1.0
-        r = reduce_formulation(build_formulation(DistanceMatrix(n, basis)))
-        T[:, m] = r.A_r.ravel()
-        B[:, m] = r.b_r
+        T[:, m] = reduce_formulation(build_formulation(DistanceMatrix(n, basis))).A_r.ravel()
     assert set(np.unique(T)) <= {0.0, 1.0} and T.sum(1).max() == 1.0
-    return np.where(T.any(1), T.argmax(1), n2).reshape(dim, dim), B
+    return np.where(T.any(1), T.argmax(1), n2).reshape(dim, dim)
+
+
+def chain_mu(entries, lam):
+    """mu at the identity target through the formulation -> reduction chain."""
+    r = reduce_formulation(build_formulation(DistanceMatrix(len(entries), entries)))
+    return eliminate_mu(r, lam)
 
 
 class TestLinearMaps:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_equal_the_probed_reduction(self, n):
-        a_index, b_map = linear_maps(n)
-        probed_index, probed_b = probed_maps(n)
-        assert np.array_equal(a_index, probed_index)
-        assert np.array_equal(b_map, probed_b)
+        a_index, mu_d, mu_lam = linear_maps(n)
+        assert np.array_equal(a_index, probed_index(n))
+        # mu_d on the symmetric basis (each pair i < j, and each diagonal
+        # entry) with lambda = 0, and mu_lam on the unit lambdas with d = 0
+        no_lam = np.zeros(2 * n - 3)
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            assert np.array_equal(mu_d @ basis.ravel(), chain_mu(basis, no_lam)), (i, j)
+        for k, unit in enumerate(np.eye(2 * n - 3)):
+            assert np.array_equal(mu_lam[:, k], chain_mu(np.zeros((n, n)), unit)), k
 
     def test_applied_to_d_give_the_reduced_problem(self):
         for n in range(3, 11):
-            a_index, b_map = linear_maps(n)
+            a_index, mu_d, _ = linear_maps(n)
             rng = np.random.default_rng(n)
             mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)
             nonmetric = validate_distance_matrix(mat + mat.T)  # six decades
             for d in (random_euclidean_instance(n, n + 30)[0], nonmetric):
                 r = reduce_formulation(build_formulation(d))
-                dvec = d.entries.ravel()
+                dvec, d1 = d.entries.ravel(), d.entries[0, 1:]
                 assert np.array_equal(np.append(dvec, 0.0)[a_index], r.A_r)
-                assert np.array_equal(b_map @ dvec, r.b_r)
+                # b_r = (-d1; 0; -d1): positions 2 and n are city 1's neighbours
+                b_r = np.concatenate([-d1, np.zeros((n - 3) * (n - 1)), -d1])
+                assert np.array_equal(b_r, r.b_r)
+                assert np.array_equal(mu_d @ dvec, eliminate_mu(r, np.zeros(2 * n - 3)))
                 assert r.c0 == 0.0
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_mu_equals_eliminate_mu_bit_for_bit(self, n):
+        # mu as the fast path forms it: one matmul per part, then one sum
+        # on four Euclidean and four six-decade non-metric d, with lambdas
+        # at three scales
+        _, mu_d, mu_lam = linear_maps(n)
+        rng = np.random.default_rng(n)
+        mats = np.triu(10.0 ** rng.uniform(-3, 3, (4, n, n)), 1)
+        euclidean = [random_euclidean_instance(n, n + k)[0].entries for k in range(4)]
+        D = np.concatenate([euclidean, mats + mats.transpose(0, 2, 1)]).reshape(8, -1)
+        L = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3], (8, 1)), size=(8, 2 * n - 3))
+        fast = D @ mu_d.T + L @ mu_lam.T
+        for row, dvec, lam in zip(fast, D, L):
+            assert row.tobytes() == chain_mu(dvec.reshape(n, n), lam).tobytes()
 
     def test_cached_and_read_only(self):
         maps = linear_maps(5)
