@@ -11,7 +11,7 @@ A_r(lam,mu) Y = b_r(lam,mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,8 +82,8 @@ class AscentResult:
     best_point: DualPoint
     best_value: float
     iterations: int
-    trajectory: list[tuple[float, float, float]] = field(default_factory=list)
-    termination: Termination = Termination.IterationCap
+    trajectory: list[tuple[float, float, float]]
+    termination: Termination
 
 
 def point(lam, mu) -> DualPoint:

@@ -17,17 +17,16 @@ from .instance import DistanceMatrix, Tour
 @dataclass(frozen=True)
 class QpFormulation:
     """Objective matrix A (n^2 x n^2) and assignment constraints
-    C X = e (one city per position), D X = e (one position per city).
+    C X = 1 (one city per position), D X = 1 (one position per city).
     """
 
     n: int
     A: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    e: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.A, self.C, self.D, self.e):
+        for arr in (self.A, self.C, self.D):
             arr.flags.writeable = False
 
 
@@ -47,7 +46,7 @@ def build_formulation(d: DistanceMatrix) -> QpFormulation:
     # kron gives 0 * -0.0 = -0.0 off the blocks; + 0.0 makes it +0.0
     A = np.kron(shift + shift.T, d.entries) + 0.0
     C, D = assignment_constraints(n)
-    return QpFormulation(n=n, A=A, C=C, D=D, e=np.ones(n))
+    return QpFormulation(n=n, A=A, C=C, D=D)
 
 
 def encode_tour(t: Tour) -> np.ndarray:

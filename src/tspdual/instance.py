@@ -54,8 +54,6 @@ class Tour:
 class OracleResult:
     best_tour: Tour
     best_length: float
-    tours: np.ndarray    # canonical_tours(n)
-    lengths: np.ndarray  # lengths[k] is the length of tours[k]
 
 
 def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
@@ -174,7 +172,7 @@ def brute_force_optimum(d: DistanceMatrix) -> OracleResult:
     lengths = tour_lengths(d, tours)
     best = int(np.argmin(lengths))
     best_tour = Tour(tuple(int(c) + 1 for c in tours[best]))
-    return OracleResult(best_tour, float(lengths[best]), tours, lengths)
+    return OracleResult(best_tour, float(lengths[best]))
 
 
 def random_euclidean_instance(n: int, seed: int) -> tuple[DistanceMatrix, np.ndarray]:

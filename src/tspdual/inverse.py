@@ -40,8 +40,9 @@ STATIONARITY_TOL = 1e-10
 PENALTY_WEIGHT = 1e3
 LAMBDA_BOX_FACTOR = 10.0   # lambda starts uniform in +-factor * largest distance
 STEP_FLOOR = 1e-9
-# cap on scored rows x tour edges (the gathered edges) of one lockstep chunk
-# of restarts: it binds from 832 restarts at n = 7 and 104 at n = 8
+# cap on scored rows x the larger of a row's tour-edge gather and its
+# dim x dim matrix in one lockstep chunk of restarts: it binds from 25890
+# restarts at n = 4, 8192 at n = 5, 3355 at n = 6, 832 at n = 7 and 104 at n = 8
 LOCKSTEP_CELLS = 1 << 22
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
@@ -221,9 +222,9 @@ class _FastEvaluator:
     transposed strides, and the penalty's last bits then move at n >= 9.
     The positivity and triangle terms are such gathers; _left_to_right sums
     them in the one order that np.sum gives them at R >= 2.
-    The terms that lambda does not touch (distance_terms) are a pure
-    function of a row of D, so a caller may compute them once per
-    distance row and pass them to every evaluation of that row.
+    A batch is scored from its record rows(D), a pure function of each row
+    of D, so a caller builds it once per distance row and gathers it for
+    every evaluation of that row.
     """
 
     def __init__(self, n: int):
@@ -249,22 +250,23 @@ class _FastEvaluator:
         lengths = np.take(D, self.edges, axis=1).sum(axis=1)
         return lengths[:, 1:] - lengths[:, :1]
 
-    def distance_terms(self, D: np.ndarray) -> tuple:
-        """Per row of D, the terms of its score that lambda does not touch:
-        mu's distance part D @ mu_d^T, the penalty and max|d|."""
+    def rows(self, D: np.ndarray) -> tuple:
+        """The record of a batch of distance rows: D with A_r's zero column
+        appended at index n^2, then per row the terms of its score that
+        lambda does not touch: mu's distance part D @ mu_d^T, the penalty
+        and max|d|."""
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += _left_to_right(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]))
         t0, t1, t2 = self.tri
         violation += _left_to_right(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]))
-        return D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
+        padded = np.concatenate([D, np.zeros((len(D), 1))], axis=1)
+        return padded, D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
 
-    def evaluate(
-        self, D: np.ndarray, L: np.ndarray, floor: np.ndarray, terms: tuple | None = None
-    ) -> np.ndarray:
-        """Scores of a batch: row r of D is a flattened distance matrix and
-        row r of L its lambda; `terms`, if given, is distance_terms(D).  A
-        row whose score cannot exceed floor[r] may score -inf without an
+    def evaluate(self, rows: tuple, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """Scores of a batch: `rows` is the record rows(D) of the flattened
+        distance matrices D, and row r of L is the lambda of row r.  A row
+        whose score cannot exceed floor[r] may score -inf without an
         eigensolve; every other row gets its exact score, so a caller that
         accepts only scores > floor sees the same decisions.
 
@@ -295,17 +297,17 @@ class _FastEvaluator:
         and every product of the factorization far from overflow, where
         Thm 10.7's model of the arithmetic holds.
         """
-        mu_of_d, penalty, dmax = self.distance_terms(D) if terms is None else terms
+        padded, mu_of_d, penalty, dmax = rows
         mu = mu_of_d + L @ self.mu_lam.T
         mu_min, mu_max = mu.min(1), np.abs(mu).max(1)
         slack = 1e-12 * (mu_max + self.dim * dmax)
         solve = mu_min + slack - penalty > floor
 
-        scores = np.full(len(D), -np.inf)
+        scores = np.full(len(L), -np.inf)
         mu, mu_min, mu_max, dmax, slack, penalty, floor = (
             a[solve] for a in (mu, mu_min, mu_max, dmax, slack, penalty, floor)
         )
-        M = np.concatenate([D[solve], np.zeros((len(mu), 1))], axis=1)[:, self.a_index]
+        M = padded[solve][:, self.a_index]
         diag = M.reshape(len(M), self.dim**2)[:, :: self.dim + 1]  # a view, zero so far
 
         magnitude = mu_max + self.dim * dmax + np.abs(floor) + penalty
@@ -333,12 +335,6 @@ def _points_dvec(n: int, coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(-1)).reshape(-1, n * n)
 
 
-def _split(n: int, theta: np.ndarray):
-    """Rows of theta (2n coordinates, then lambda) -> (flattened distance
-    matrices, lambdas)."""
-    return _points_dvec(n, theta[:, :2 * n]), theta[:, 2 * n:]
-
-
 def _start(cfg: SearchConfig, k: int):
     """Seeded start of restart k: (theta, per-coordinate step scales)."""
     n = cfg.n
@@ -350,7 +346,7 @@ def _start(cfg: SearchConfig, k: int):
     return np.concatenate([coords, lam]), np.concatenate(scales)
 
 
-def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None = None):
+def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks):
     """Seeded starts plus derivative-free coordinate refinement of the
     restarts `ks`, all advanced in lockstep over one shared coordinate.
     Per coordinate, +step then -step is proposed: both are scored in one
@@ -359,12 +355,12 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
     no acceptance halves the step.  A restart stops at STEP_FLOOR or after
     local_iters evaluations.  Rows never mix, so a restart's result does
     not depend on its chunk.  Returns the best score and theta per
-    restart; `trace` gets the best scores per coordinate step."""
+    restart."""
+    n2 = 2 * cfg.n  # theta holds 2n point coordinates, then lambda
     theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
     R, n_coords = theta.shape
-    D, L = _split(cfg.n, theta)
-    terms = ev.distance_terms(D)  # of each restart's current distances
-    best = ev.evaluate(D, L, np.full(R, -np.inf), terms)
+    rows = ev.rows(_points_dvec(cfg.n, theta[:, :n2]))  # of each restart's theta
+    best = ev.evaluate(rows, theta[:, n2:], np.full(R, -np.inf))
     left = np.full(R, cfg.local_iters - 1)  # evaluations left after the start
     step = np.ones(R)
     improved = np.zeros(R, dtype=bool)
@@ -376,31 +372,27 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks, trace: list | None 
         cand = np.concatenate([theta[live], theta[live]])  # +step rows, then -step rows
         cand[:m, c] += delta
         cand[m:, c] -= delta
-        if c < 2 * cfg.n:  # a point moves
-            cand_D, cand_L = _split(cfg.n, cand)
-            cand_terms = ev.distance_terms(cand_D)
+        if c < n2:  # a point moves
+            cand_rows = ev.rows(_points_dvec(cfg.n, cand[:, :n2]))
         else:  # a lambda step leaves the distances as they are
             both = np.concatenate([live, live])
-            cand_D, cand_L = D[both], cand[:, 2 * cfg.n:]
-            cand_terms = tuple(a[both] for a in terms)
+            cand_rows = tuple(a[both] for a in rows)
         # a -step with no budget left has floor +inf, so it is never solved
         floor = np.concatenate([best[live], np.where(left[live] > 1, best[live], np.inf)])
-        s = ev.evaluate(cand_D, cand_L, floor, cand_terms)
+        s = ev.evaluate(cand_rows, cand[:, n2:], floor)
         take_plus = s[:m] > best[live]
         pick = np.where(take_plus, np.arange(m), np.arange(m, 2 * m))  # the row tried last
         s = s[pick]
         acc = s > best[live]
-        rows, pick = live[acc], pick[acc]
-        theta[rows], D[rows], best[rows] = cand[pick], cand_D[pick], s[acc]
-        for a, b in zip(terms, cand_terms):
-            a[rows] = b[pick]
-        improved[rows] = True
+        won, pick = live[acc], pick[acc]
+        theta[won], best[won] = cand[pick], s[acc]
+        for a, b in zip(rows, cand_rows):
+            a[won] = b[pick]
+        improved[won] = True
         left[live] -= np.where(take_plus, 1, 2)
         if c == n_coords - 1:  # end of a sweep
             step[~improved] *= 0.5
             improved[:] = False
-        if trace is not None:
-            trace.append(best.copy())
     return best, theta
 
 
@@ -412,8 +404,9 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     """
     n = cfg.n
     ev = _FastEvaluator(n)
-    # each restart scores two rows (+step and -step) per lockstep step
-    chunk = max(1, LOCKSTEP_CELLS // (2 * ev.edges.size))
+    # each restart scores two rows (+step and -step) per lockstep step, and
+    # a row's largest array is its tour-edge gather or its dim x dim matrix
+    chunk = max(1, LOCKSTEP_CELLS // (2 * max(ev.edges.size, ev.dim**2)))
     scores, thetas = map(np.concatenate, zip(*(
         _search_chunk(ev, cfg, range(k, min(k + chunk, cfg.restarts)))
         for k in range(0, cfg.restarts, chunk)
@@ -422,9 +415,8 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
     best_score = float(scores[best_k])
 
     # replay the winner through the full chain
-    D, L = _split(n, thetas[best_k:best_k + 1])
-    dvec, lam = D[0], L[0]
-    d = DistanceMatrix(n, dvec.reshape(n, n))
+    lam = thetas[best_k, 2 * n:]
+    d = DistanceMatrix(n, _points_dvec(n, thetas[best_k, :2 * n]).reshape(n, n))
     breakdown = feasibility_score(d, lam)
     mu, residual = breakdown.mu, breakdown.stationarity_residual
 

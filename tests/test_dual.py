@@ -513,12 +513,7 @@ class TestVerifyGlobal:
     def test_identity_fixture_confirms(self, identity_fixture):
         r, ybar = identity_fixture
         target_value = reduced_objective(r, ybar)
-        oracle = OracleResult(
-            best_tour=Tour((1, 2, 3, 4)),
-            best_length=target_value,
-            tours=np.array([[0, 1, 2, 3]]),
-            lengths=np.array([target_value]),
-        )
+        oracle = OracleResult(best_tour=Tour((1, 2, 3, 4)), best_length=target_value)
         verdict = verify_global(r, point(np.zeros(5), np.zeros(9)), oracle)
         assert verdict is Verdict.ConfirmsTheorem2
 

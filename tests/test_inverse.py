@@ -233,18 +233,19 @@ class TestFeasibilityScore:
             ds = [random_euclidean_instance(n, seed)[0] for seed in range(20)]
             D = np.array([d.entries.ravel() for d in ds])
             L = rng.normal(scale=3.0, size=(20, 2 * n - 3))
-            fast = ev.evaluate(D, L, np.full(20, -np.inf))
+            fast = ev.evaluate(ev.rows(D), L, np.full(20, -np.inf))
             assert fast.shape == (20,)
             for r, d in enumerate(ds):
                 full = feasibility_score(d, L[r])
                 assert fast[r] == pytest.approx(full.score, rel=1e-10, abs=1e-12)
-                assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == fast[r]
+                alone = ev.evaluate(ev.rows(D[r:r + 1]), L[r:r + 1], np.full(1, -np.inf))
+                assert alone[0] == fast[r]
 
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_row_alone_equals_its_batch_row_with_many_violations(self, n):
         # collapsed cities give many positivity terms and non-metric rows many
         # triangle terms; their sums must not depend on the batch size, since
-        # the search reuses a row's distance terms across batches
+        # the search reuses a row's record across batches
         rng = np.random.default_rng(n)
         pts = rng.random((6, n, 2))
         pts[:3, 1:] = pts[:3, -1:]  # cities 2..n coincide
@@ -253,12 +254,15 @@ class TestFeasibilityScore:
         D[3:] = (mat + mat.transpose(0, 2, 1)).reshape(3, -1)
         L = rng.normal(size=(6, 2 * n - 3))
         ev = evaluator(n)
-        terms = ev.distance_terms(D)
-        scores = ev.evaluate(D, L, np.full(6, -np.inf))
+        rows = ev.rows(D)
+        # the record starts with D padded by A_r's zero column at index n^2
+        assert np.array_equal(rows[0], np.column_stack([D, np.zeros(6)]))
+        scores = ev.evaluate(rows, L, np.full(6, -np.inf))
         for r in range(6):
-            alone = ev.distance_terms(D[r:r + 1])
-            assert all(np.array_equal(a[r], b[0]) for a, b in zip(terms, alone))
-            assert ev.evaluate(D[r:r + 1], L[r:r + 1], np.full(1, -np.inf))[0] == scores[r]
+            alone = ev.rows(D[r:r + 1])
+            assert len(alone) == len(rows) == 4
+            assert all(np.array_equal(a[r], b[0]) for a, b in zip(rows, alone))
+            assert ev.evaluate(alone, L[r:r + 1], np.full(1, -np.inf))[0] == scores[r]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_fast_margins_equal_replay_margins(self, n):
@@ -284,7 +288,7 @@ class TestFeasibilityScore:
         monkeypatch.setattr(inverse, "build_formulation", must_not_run)
         monkeypatch.setattr(inverse, "reduce_formulation", must_not_run)
         ev = _FastEvaluator(n)
-        score = ev.evaluate(d.entries.ravel()[None], lam[None], np.full(1, -np.inf))[0]
+        score = ev.evaluate(ev.rows(d.entries.ravel()[None]), lam[None], np.full(1, -np.inf))[0]
         assert score == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(4, 11))
@@ -329,11 +333,11 @@ def scored_batches(draw):
     return n, np.array(rows), rng.normal(scale=scale, size=(len(rows), 2 * n - 3))
 
 
-def unscreened(ev, D, L, floor, *terms):
+def unscreened(ev, rows, L, floor):
     """evaluate with the Cholesky screen off: no row is below its cap."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inverse, "SCREEN_MAGNITUDE_CAP", 0.0)
-        return ev.evaluate(D, L, floor, *terms)
+        return ev.evaluate(rows, L, floor)
 
 
 class TestBoundPruning:
@@ -342,10 +346,9 @@ class TestBoundPruning:
     def test_pruned_rows_could_not_beat_the_floor(self, batch):
         n, D, L = batch
         ev = evaluator(n)
-        terms = ev.distance_terms(D)
-        exact = ev.evaluate(D, L, np.full(len(D), -np.inf))
+        record = ev.rows(D)
+        exact = ev.evaluate(record, L, np.full(len(D), -np.inf))
         assert np.isfinite(exact).all()
-        assert np.array_equal(ev.evaluate(D, L, np.full(len(D), -np.inf), terms), exact)
         floors = {
             "at": exact,
             "ulp-below": np.nextafter(exact, -np.inf),
@@ -356,10 +359,10 @@ class TestBoundPruning:
         for k in (-12, -6, -3):
             floors[f"1e{k}-below"] = exact - 10.0**k * (1.0 + np.abs(exact))
             floors[f"1e{k}-above"] = exact + 10.0**k * (1.0 + np.abs(exact))
-        # every floor in one batch, rows never mix; the distance terms are
-        # computed once, as the search does for lambda steps
+        # every floor in one batch, rows never mix; the record is gathered,
+        # as the search does for lambda steps
         of = np.tile(np.arange(len(D)), len(floors))
-        args = D[of], L[of], np.concatenate(list(floors.values())), tuple(a[of] for a in terms)
+        args = tuple(a[of] for a in record), L[of], np.concatenate(list(floors.values()))
         got, bound_only = ev.evaluate(*args), unscreened(ev, *args)
         # the rows the screen prunes, apart from the min-mu bound's
         screened_out = (got == -np.inf) & (bound_only > -np.inf)
@@ -371,7 +374,7 @@ class TestBoundPruning:
             assert np.all((got_f[~beats] == exact[~beats]) | (got_f[~beats] == -np.inf)), name
             assert np.array_equal(bound_f[~out_f], got_f[~out_f]), name
             assert np.all(bound_f[out_f] <= floor[out_f]), name
-        assert np.all(ev.evaluate(D, L, np.full(len(D), np.inf), terms) == -np.inf)
+        assert np.all(ev.evaluate(record, L, np.full(len(D), np.inf)) == -np.inf)
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_screen_prunes_rows_the_bound_keeps(self, monkeypatch, n):
@@ -381,8 +384,9 @@ class TestBoundPruning:
         D = np.array([random_euclidean_instance(n, seed)[0].entries.ravel() for seed in range(8)])
         L = np.zeros((8, 2 * n - 3))
         ev = evaluator(n)
-        exact = ev.evaluate(D, L, np.full(8, -np.inf))
-        mu, penalty, _ = ev.distance_terms(D)  # lambda = 0: mu is its distance part
+        rows = ev.rows(D)
+        exact = ev.evaluate(rows, L, np.full(8, -np.inf))
+        _, mu, penalty, _ = rows  # lambda = 0: mu is its distance part
         bound = mu.min(1) - penalty
         assert np.all(bound - exact > 0.1)
         floor = (exact + bound) / 2
@@ -391,13 +395,13 @@ class TestBoundPruning:
             inverse.np.linalg, "eigvalsh", lambda M: solved.append(len(M)) or eigvalsh(M)
         )
         # the bound alone solves every row, though none beats its floor
-        assert np.array_equal(unscreened(ev, D, L, floor), exact)
+        assert np.array_equal(unscreened(ev, rows, L, floor), exact)
         assert np.all(exact < floor) and sum(solved) == 8
         solved.clear()
-        assert np.all(ev.evaluate(D, L, floor) == -np.inf)
+        assert np.all(ev.evaluate(rows, L, floor) == -np.inf)
         assert sum(solved) == 0
         below = np.nextafter(exact, -np.inf)
-        assert np.array_equal(ev.evaluate(D, L, below), exact)
+        assert np.array_equal(ev.evaluate(rows, L, below), exact)
         assert sum(solved) == 8
 
     def test_cholesky_gufunc_marks_exactly_the_failures(self):
@@ -449,9 +453,10 @@ class TestBoundPruning:
         D = inverse._points_dvec(n, pts.ravel()[None])
         L = np.random.default_rng(0).normal(size=(1, 2 * n - 3))
         ev = evaluator(n)
-        exact = ev.evaluate(D, L, np.full(1, -np.inf))
-        assert ev.evaluate(D, L, exact + 1e-6 * abs(exact))[0] == -np.inf
-        assert ev.evaluate(D, L, exact - 1e-6 * abs(exact))[0] == exact[0]
+        rows = ev.rows(D)
+        exact = ev.evaluate(rows, L, np.full(1, -np.inf))
+        assert ev.evaluate(rows, L, exact + 1e-6 * abs(exact))[0] == -np.inf
+        assert ev.evaluate(rows, L, exact - 1e-6 * abs(exact))[0] == exact[0]
 
 
 def reference_search(cfg, k):
@@ -462,7 +467,8 @@ def reference_search(cfg, k):
     theta, scales = inverse._start(cfg, k)
 
     def score(th):
-        return ev.evaluate(*inverse._split(cfg.n, th[None]), np.full(1, -np.inf))[0]
+        rows = ev.rows(inverse._points_dvec(cfg.n, th[None, :2 * cfg.n]))
+        return ev.evaluate(rows, th[None, 2 * cfg.n:], np.full(1, -np.inf))[0]
 
     best, evals, step = score(theta), 1, 1.0
     while True:
@@ -507,9 +513,9 @@ class TestPairedProbes:
         ev = _FastEvaluator(cfg.n)
         used, evaluate = [], ev.evaluate
 
-        def counting(D, L, floor, *terms):
-            s = evaluate(D, L, floor, *terms)
-            used.append(1 if len(D) == 1 else 1 + int(s[0] <= floor[0] and floor[1] < np.inf))
+        def counting(rows, L, floor):
+            s = evaluate(rows, L, floor)
+            used.append(1 if len(L) == 1 else 1 + int(s[0] <= floor[0] and floor[1] < np.inf))
             return s
 
         ev.evaluate = counting
@@ -525,15 +531,27 @@ class TestInverseSearch:
         assert a.to_dict() == b.to_dict()
 
     def test_monotone_local_refinement(self):
+        # a one-restart chunk scores one start row, then per coordinate step
+        # a +step and a -step row; the +step's floor is the restart's best
+        # before the step
         ev = _FastEvaluator(4)
         cfg = SearchConfig(restarts=6, local_iters=500, seed=7)
-        trace = []
-        best, _ = _search_chunk(ev, cfg, range(6), trace)
-        steps = np.array(trace)  # one row per coordinate step, one column per restart
-        assert steps.shape[1] == 6 and len(steps) <= 499
-        assert np.all(np.diff(steps, axis=0) >= 0)
-        assert np.any(np.diff(steps, axis=0) > 0, axis=0).all()
-        assert np.array_equal(steps[-1], best)
+        floors, evaluate = [], ev.evaluate
+
+        def recording(rows, L, floor):
+            if len(L) == 2:  # a +step row, then a -step row
+                floors.append(floor[0])
+            return evaluate(rows, L, floor)
+
+        ev.evaluate = recording
+        best, _ = _search_chunk(ev, cfg, range(6))
+        for k in range(6):
+            floors.clear()
+            alone, _ = _search_chunk(ev, cfg, range(k, k + 1))
+            steps = np.array(floors + [alone[0]])  # bests before each step, then after
+            assert len(floors) <= 499 and steps[-1] == best[k]
+            assert np.all(np.diff(steps) >= 0)
+            assert np.any(np.diff(steps) > 0)
 
     @pytest.mark.parametrize("step_floor", [inverse.STEP_FLOOR, 1e-3])
     def test_restart_independent_of_its_chunk(self, monkeypatch, step_floor):
@@ -541,9 +559,7 @@ class TestInverseSearch:
         cfg = SearchConfig(restarts=12, local_iters=2000, seed=4)
         ev = _FastEvaluator(4)
         sizes, evaluate = [], ev.evaluate
-        ev.evaluate = lambda D, L, floor, *terms: sizes.append(len(D)) or evaluate(
-            D, L, floor, *terms
-        )
+        ev.evaluate = lambda rows, L, floor: sizes.append(len(L)) or evaluate(rows, L, floor)
         s12, th12 = _search_chunk(ev, cfg, range(12))
         if step_floor == 1e-3:  # restarts left the chunk at different steps
             assert len(set(sizes)) > 2
@@ -563,14 +579,32 @@ class TestInverseSearch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         reports = []
-        edges = evaluator(config["n"]).edges.size
+        ev = evaluator(config["n"])
+        row = max(ev.edges.size, ev.dim**2)  # a row's largest array
         for chunk in (1, 7, config["restarts"]):
-            # each restart of a chunk scores two rows of `edges` gathered edges
-            monkeypatch.setattr(inverse, "LOCKSTEP_CELLS", 2 * edges * chunk)
+            # each restart of a chunk scores two rows
+            monkeypatch.setattr(inverse, "LOCKSTEP_CELLS", 2 * row * chunk)
             out = tmp_path / f"chunk{chunk}"
             assert main(["inverse", "--config", str(path), "--out", str(out)]) == 0
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1] == reports[2]
+
+    def test_chunk_holds_its_largest_arrays_under_the_cap(self, tmp_path, monkeypatch):
+        # at n = 4 a row's 9 x 9 matrix (81 values) outweighs its 12 tour
+        # edges, so the cap counts the matrix; the chunk changes no byte
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "restarts": 60, "local_iters": 40, "seed": 2}))
+        assert main(["inverse", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        ev, chunks, search_chunk = evaluator(4), [], inverse._search_chunk
+        monkeypatch.setattr(inverse, "LOCKSTEP_CELLS", 1 << 12)
+        monkeypatch.setattr(
+            inverse, "_search_chunk", lambda *args: chunks.append(len(args[2])) or search_chunk(*args)
+        )
+        assert main(["inverse", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        assert sum(chunks) == 60 and len(chunks) > 1
+        assert all(2 * k * max(ev.edges.size, ev.dim**2) <= 1 << 12 for k in chunks)
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert (tmp_path / "b" / "report.json").read_bytes() == report
 
     def test_acceptance_inverse_config_pinned(self):
         # acceptance criterion 9's inverse config; the values are those of
