@@ -35,6 +35,23 @@ STALL_ITERS = 10     # consecutive stalls that end the ascent
 INITIAL_STEP = 1.0
 MIN_STEP = 1e-18     # backtracking gives up below this step
 
+# Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.7:
+# Cholesky runs to completion in floating point on a symmetric M of order m
+# with lambda_min(M) > cholesky_theta(m) * max diag(M).  Its model of the
+# arithmetic has no overflow, so the bounds that rest on it (the cone test
+# here, the screen in inverse) are used only on matrices whose magnitudes
+# are below this cap
+CHOLESKY_MAGNITUDE_CAP = 1e150
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def cholesky_theta(m: int) -> float:
+    """theta_m = m g / (1 - m g), g = gamma_{m+1} = (m + 1) u / (1 - (m + 1) u):
+    7.4e-13 at m = 81."""
+    u = UNIT_ROUNDOFF
+    gamma = (m + 1) * u / (1 - (m + 1) * u)
+    return m * gamma / (1 - m * gamma)
+
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -56,9 +73,11 @@ class DualEvaluation:
 
     @property
     def grad_norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(self.grad_lambda**2) + np.sum(self.grad_mu**2))
-        )
+        return _grad_norm(self.grad_lambda, self.grad_mu)
+
+
+def _grad_norm(grad_lambda: np.ndarray, grad_mu: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(grad_lambda**2) + np.sum(grad_mu**2)))
 
 
 class Termination(Enum):
@@ -92,43 +111,118 @@ def point(lam, mu) -> DualPoint:
     )
 
 
-def assemble(r: ReducedProblem, p: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted matrix A_r + diag(mu) and vector b_r + mu/2 - E_r^T lam."""
-    if p.lam.shape != (r.n_multipliers,) or p.mu.shape != (r.dim,):
+def _check_point(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> None:
+    if lam.shape != (r.n_multipliers,) or mu.shape != (r.dim,):
         raise ValueError(
             f"expected lambda length {r.n_multipliers} and mu length {r.dim}, "
-            f"got {p.lam.shape} and {p.mu.shape}"
+            f"got {lam.shape} and {mu.shape}"
         )
-    A_mat = r.A_r + np.diag(p.mu)
-    b_vec = r.b_r + 0.5 * p.mu - r.E_r.T @ p.lam
-    return A_mat, b_vec
+
+
+def _shifted_b(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return r.b_r + 0.5 * mu - r.E_r.T @ lam
+
+
+def assemble(r: ReducedProblem, p: DualPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted matrix A_r + diag(mu) and vector b_r + mu/2 - E_r^T lam."""
+    _check_point(r, p.lam, p.mu)
+    return r.A_r + np.diag(p.mu), _shifted_b(r, p.lam, p.mu)
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
+class _ShiftedSystem:
+    """The shifted system of one reduced problem, one point at a time.
+
+    W is a work matrix that holds A_r + diag(mu) of the last point, with
+    the bits of assemble: A_r + 0.0 off the diagonal, A_r_ii + mu_i on it.
+    A point rewrites only the diagonal, so the finiteness and |row| sums
+    of the off-diagonal part are computed once.  The methods return plain
+    tuples; dual_value wraps one in a DualEvaluation.
+    """
+
+    def __init__(self, r: ReducedProblem):
+        self.r = r
+        self.W = r.A_r + 0.0
+        self.diag = np.einsum("ii->i", self.W)  # a writable view
+        self.a_diag = r.A_r.diagonal().copy()
+        self.diag[:] = 0.0
+        self.off_finite = bool(np.isfinite(self.W).all())
+        self.off_sums = np.abs(self.W).sum(axis=1)
+        self.theta = cholesky_theta(r.dim)
+
+    def _shift(self, lam: np.ndarray, mu: np.ndarray) -> bool:
+        """Writes A_r + diag(mu) into W; returns whether it is finite."""
+        _check_point(self.r, lam, mu)
+        self.diag[:] = self.a_diag + mu
+        return self.off_finite and bool(np.isfinite(self.diag).all())
+
+    def _cone_failure(self, finite: bool) -> tuple[str | None, float]:
+        """The test of the cone that W fails (None if it passes), and its
+        smallest eigenvalue (nan if an entry is not finite).
+
+        Cholesky is attempted only where eigvalsh cannot prove that it
+        succeeds.  eigvalsh's eigenvalues are exact for some W + E with
+        ||E||_2 a modest multiple of eps * ||W||_2 <= eps * ||W||_inf; the
+        slack 1e-12 ||W||_inf (about 4500 eps) covers that.  So where
+        lo - slack > theta * max diag(W) and ||W||_inf is below the cap,
+        lambda_min(W) > theta * max diag(W) and Cholesky succeeds (see
+        cholesky_theta).  ||W||_inf must also be above the cap's inverse,
+        where the slack dwarfs any underflow in the factorization.  Every
+        other point pays the attempt, so every decision is the one that
+        the attempt gives.
+        """
+        if not finite:
+            return "shifted matrix has a non-finite entry", math.nan
+        lo = min_eigenvalue(self.W)
+        norm = float(np.max(self.off_sums + np.abs(self.diag)))  # ||W||_inf
+        proven = (
+            1 / CHOLESKY_MAGNITUDE_CAP < norm < CHOLESKY_MAGNITUDE_CAP
+            and lo - 1e-12 * norm > self.theta * float(self.diag.max())
+        )
+        if not proven:
+            try:
+                np.linalg.cholesky(self.W)
+            except np.linalg.LinAlgError:
+                return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
+        if lo <= PD_TOLERANCE:
+            return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
+        return None, lo
+
+    def feasible(self, lam: np.ndarray, mu: np.ndarray) -> tuple[bool, float]:
+        """dual_feasible of the point (lam, mu)."""
+        failure, lo = self._cone_failure(self._shift(lam, mu))
+        return failure is None, lo
+
+    def value(self, lam: np.ndarray, mu: np.ndarray, floor: float = -math.inf):
+        """dual_value of the point (lam, mu), as the tuple (value, Y,
+        grad_lambda, grad_mu, min_eig), or None where dual_value skips it."""
+        finite = self._shift(lam, mu)
+        b_vec = _shifted_b(self.r, lam, mu)
+        y = None
+        if finite and np.isfinite(b_vec).all():
+            y = _solve(self.W, b_vec)  # a non-finite b_vec breaks the solve down
+        value = math.nan
+        if y is not None:
+            value = -0.5 * float(b_vec @ y) - float(np.sum(lam))
+        if floor > -math.inf and value <= floor:  # never for nan, nor with no floor
+            return None
+        failure, lo = self._cone_failure(finite)
+        if failure is not None:
+            raise NotDualFeasible(failure)
+        if y is None:
+            raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
+        grad_lambda = self.r.E_r @ y - np.ones(self.r.n_multipliers)
+        return value, y, grad_lambda, 0.5 * (y * y - y), lo
+
+
 def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
     """Strict positive definiteness of the shifted matrix: finite entries,
-    a Cholesky attempt, and the smallest eigenvalue against PD_TOLERANCE.
+    Cholesky success, and the smallest eigenvalue against PD_TOLERANCE.
     """
-    failure, lo = _cone_failure(assemble(r, p)[0])
-    return failure is None, lo
-
-
-def _cone_failure(A_mat: np.ndarray) -> tuple[str | None, float]:
-    """The test of dual_feasible that A_mat fails (None if it passes), and
-    its smallest eigenvalue (nan if an entry is not finite)."""
-    if not np.isfinite(A_mat).all():
-        return "shifted matrix has a non-finite entry", math.nan
-    lo = min_eigenvalue(A_mat)
-    try:
-        np.linalg.cholesky(A_mat)
-    except np.linalg.LinAlgError:
-        return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
-    if lo <= PD_TOLERANCE:
-        return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
-    return None, lo
+    return _ShiftedSystem(r).feasible(p.lam, p.mu)
 
 
 def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
@@ -150,27 +244,8 @@ def dual_value(
     Every other point is judged as with no floor: the cone test first,
     then the solve, each with its own NotDualFeasible message.
     """
-    A_mat, b_vec = assemble(r, p)
-    y = None
-    if np.isfinite(A_mat).all() and np.isfinite(b_vec).all():
-        y = _solve(A_mat, b_vec)  # a non-finite b_vec breaks the solve down
-    value = math.nan
-    if y is not None:
-        value = -0.5 * float(b_vec @ y) - float(np.sum(p.lam))
-    if floor > -math.inf and value <= floor:  # never for nan, nor with no floor
-        return None
-    failure, lo = _cone_failure(A_mat)
-    if failure is not None:
-        raise NotDualFeasible(failure)
-    if y is None:
-        raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
-    return DualEvaluation(
-        value=value,
-        Y=y,
-        grad_lambda=r.E_r @ y - np.ones(r.n_multipliers),
-        grad_mu=0.5 * (y * y - y),
-        min_eig=lo,
-    )
+    ev = _ShiftedSystem(r).value(p.lam, p.mu, floor)
+    return None if ev is None else DualEvaluation(*ev)
 
 
 def default_start(r: ReducedProblem) -> DualPoint:
@@ -188,40 +263,45 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
     so accepted iterates only ever improve the dual value.  A trial point
     that does not improve is rejected before its cone test, which runs
     only if no step of the iteration is accepted and the termination
-    hangs on it.
+    hangs on it.  All points share one _ShiftedSystem.
     """
     p = start if start is not None else default_start(r)
+    system = _ShiftedSystem(r)
+    lam, mu = p.lam, p.mu
     try:
-        ev = dual_value(r, p)
+        value, _, grad_lambda, grad_mu, lo = system.value(lam, mu)
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
-    trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
+    grad_norm = _grad_norm(grad_lambda, grad_mu)
+    trajectory = [(value, grad_norm, lo)]
     step = INITIAL_STEP
     stall = 0
     termination = Termination.IterationCap
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        if ev.grad_norm < GTOL:
+        if grad_norm < GTOL:
             termination = Termination.GradientSmall
             iterations -= 1
             break
         accepted = False
         left_cone = False
-        unimproving = []  # trial points dual_value skipped before the cone test
+        unimproving = []  # trial points skipped before the cone test
         t = step
         while t >= MIN_STEP:
-            cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
+            cand_lam, cand_mu = lam + t * grad_lambda, mu + t * grad_mu
             try:
-                cand_ev = dual_value(r, cand, floor=ev.value)
+                cand = system.value(cand_lam, cand_mu, floor=value)
             except NotDualFeasible:
                 left_cone = True
                 t *= 0.5
                 continue
-            if cand_ev is None:
-                unimproving.append(cand)
-            elif cand_ev.value > ev.value:
-                p, ev = cand, cand_ev
-                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
+            if cand is None:
+                unimproving.append((cand_lam, cand_mu))
+            elif cand[0] > value:
+                lam, mu = cand_lam, cand_mu
+                value, _, grad_lambda, grad_mu, lo = cand
+                grad_norm = _grad_norm(grad_lambda, grad_mu)
+                trajectory.append((value, grad_norm, lo))
                 accepted = True
                 step = 2.0 * t  # cautious growth for the next iteration
                 break
@@ -230,7 +310,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
             # no step improved: the ascent left the cone if a trial point
             # failed the cone test, skipped ones included, else it stalled
             left_cone = left_cone or any(
-                not dual_feasible(r, c)[0] for c in unimproving
+                not system.feasible(*c)[0] for c in unimproving
             )
             termination = (
                 Termination.LeftCone if left_cone else Termination.Stalled
@@ -244,8 +324,8 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
         else:
             stall = 0
     return AscentResult(
-        best_point=p,
-        best_value=ev.value,
+        best_point=DualPoint(lam, mu),
+        best_value=value,
         iterations=iterations,
         trajectory=trajectory,
         termination=termination,

@@ -24,7 +24,16 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import check_range
-from .dual import PD_TOLERANCE, assemble, dual_feasible, min_eigenvalue, point
+from .dual import (
+    CHOLESKY_MAGNITUDE_CAP,
+    PD_TOLERANCE,
+    UNIT_ROUNDOFF,
+    assemble,
+    cholesky_theta,
+    dual_feasible,
+    min_eigenvalue,
+    point,
+)
 from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
@@ -46,9 +55,6 @@ STEP_FLOOR = 1e-9
 LOCKSTEP_CELLS = 1 << 22
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
-# the Cholesky screen runs only on rows whose magnitudes are this far from
-# overflow, where the rounding-error bound it rests on holds
-SCREEN_MAGNITUDE_CAP = 1e150
 
 
 @dataclass(frozen=True)
@@ -241,9 +247,7 @@ class _FastEvaluator:
 
         # theta_dim of a dim x dim Cholesky (see evaluate), plus 6u for the
         # roundings of the shift
-        u, m = np.finfo(float).eps / 2, self.dim  # the unit roundoff, the order
-        gamma = (m + 1) * u / (1 - (m + 1) * u)
-        self.screen_rel = m * gamma / (1 - m * gamma) + 6 * u
+        self.screen_rel = cholesky_theta(self.dim) + 6 * UNIT_ROUNDOFF
 
     def margins(self, D: np.ndarray) -> np.ndarray:
         """Row r: optimality margins of the distances in row r of D."""
@@ -278,15 +282,13 @@ class _FastEvaluator:
         pruned row's computed score could not have exceeded floor either.
 
         The screen, on a row the bound keeps whose floor f, penalty p and
-        mu are finite (all magnitudes below SCREEN_MAGNITUDE_CAP): with
+        mu are finite (all magnitudes below CHOLESKY_MAGNITUDE_CAP): with
         s = fl(f + p) and c = theta_dim + 6u, shift the diagonal by
         sigma = s - 2 (slack + c (max|mu| + |s|)) and factor fl(M - sigma I)
-        by Cholesky.  theta_dim = dim g / (1 - dim g), g = gamma_{dim+1} =
-        (dim + 1) u / (1 - (dim + 1) u), u the unit roundoff; theta_dim is
-        7.4e-13 at dim = 81.  If the factorization fails, lambda_min(fl(M - sigma I))
-        <= theta_dim * max(fl(mu - sigma), 0) (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2nd ed., Thm 10.7; a nonpositive
-        diagonal entry fails at once and bounds lambda_min by itself).  The
+        by Cholesky, u the unit roundoff and theta_dim = cholesky_theta(dim).
+        If the factorization fails, lambda_min(fl(M - sigma I)) <= theta_dim *
+        max(fl(mu - sigma), 0) (Higham, Thm 10.7; a nonpositive diagonal
+        entry fails at once and bounds lambda_min by itself).  The
         shifted diagonal is off by at most u max|mu - sigma|, so
         lambda_min(M) <= sigma + (theta_dim + 2u)(max|mu| + |sigma|), and
         with eigvalsh's error inside the slack the computed lo is at most
@@ -311,7 +313,7 @@ class _FastEvaluator:
         diag = M.reshape(len(M), self.dim**2)[:, :: self.dim + 1]  # a view, zero so far
 
         magnitude = mu_max + self.dim * dmax + np.abs(floor) + penalty
-        screened = magnitude < SCREEN_MAGNITUDE_CAP  # false on inf and nan too
+        screened = magnitude < CHOLESKY_MAGNITUDE_CAP  # false on inf and nan too
         # unscreened rows get sigma = 0, and their Cholesky result is unread;
         # they may hold inf - inf, and a failed factorization flags invalid
         with np.errstate(invalid="ignore"):

@@ -55,11 +55,34 @@ def identity_fixture():
     return r, ybar
 
 
+def higham_theta(m):
+    """theta_m of Higham's Thm 10.7, stated independently of dual."""
+    u = np.finfo(float).eps / 2
+    g = (m + 1) * u / (1 - (m + 1) * u)
+    return m * g / (1 - m * g)
+
+
+def reference_cone_failure(A_mat):
+    """The cone test with a Cholesky attempt on every point: finiteness,
+    eigvalsh, Cholesky, then PD_TOLERANCE."""
+    if not np.isfinite(A_mat).all():
+        return "shifted matrix has a non-finite entry", math.nan
+    lo = float(np.linalg.eigvalsh(A_mat)[0])
+    try:
+        np.linalg.cholesky(A_mat)
+    except np.linalg.LinAlgError:
+        return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
+    if lo <= dual.PD_TOLERANCE:
+        return f"min eigenvalue {lo!r} <= {dual.PD_TOLERANCE}", lo
+    return None, lo
+
+
 def reference_dual_value(r, p):
     """dual_value before it took a floor: the cone test first on every
     point, then the solve."""
-    A_mat, b_vec = assemble(r, p)
-    failure, lo = dual._cone_failure(A_mat)
+    A_mat = r.A_r + np.diag(p.mu)
+    b_vec = r.b_r + 0.5 * p.mu - r.E_r.T @ p.lam
+    failure, lo = reference_cone_failure(A_mat)
     if failure is not None:
         raise NotDualFeasible(failure)
     try:
@@ -387,6 +410,50 @@ class TestDualValueFloor:
         assert np.array_equal(ev.value, expected, equal_nan=True)
 
 
+@pytest.fixture
+def cone_tests(monkeypatch):
+    """Every cone test run while the fixture is active, as (W, its result,
+    whether it attempted Cholesky)."""
+    records, attempts = [], []
+    cholesky, cone = np.linalg.cholesky, dual._ShiftedSystem._cone_failure
+
+    def counted_cholesky(a):
+        attempts.append(None)
+        return cholesky(a)
+
+    def recorded(self, finite):
+        W, before = self.W.copy(), len(attempts)
+        result = cone(self, finite)
+        records.append((W, result, len(attempts) > before))
+        return result
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(dual._ShiftedSystem, "_cone_failure", recorded)
+    return records
+
+
+def assert_certificate_sound(records):
+    """Cholesky is skipped exactly where lo - 1e-12 ||W||_inf > theta *
+    max diag(W) with 1e-150 < ||W||_inf < 1e150, it succeeds wherever it
+    is skipped, and every result is the reference cone test's."""
+    assert records
+    for W, (failure, lo), attempted in records:
+        norm = np.linalg.norm(W, np.inf)
+        proven = bool(
+            1e-150 < norm < 1e150
+            and lo - 1e-12 * norm > higham_theta(len(W)) * W.diagonal().max()
+        )
+        assert attempted is not proven or not np.isfinite(W).all()
+        if proven:
+            np.linalg.cholesky(W)
+        assert repr((failure, lo)) == repr(reference_cone_failure(W))
+
+
+def scaled_reduced(n, seed, scale):
+    d, _ = random_euclidean_instance(n, seed)
+    return reduce_formulation(build_formulation(DistanceMatrix(n, scale * d.entries)))
+
+
 # (n, seed) of the ascents below that end Stalled; every other one ends
 # LeftCone. (7, 2), (8, 1) and (10, 3) raise nothing in their last
 # iteration: a trial point that dual_value skipped fails its deferred
@@ -397,9 +464,10 @@ STALLED = {(5, 0), (6, 2), (6, 3), (10, 2)}
 class TestDualAscent:
     @pytest.mark.parametrize("n", range(4, 11))
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference_ascent(self, n, seed):
+    def test_matches_reference_ascent(self, n, seed, cone_tests):
         r = euclidean_reduced(n, seed)
         res = dual_ascent(r)
+        assert_certificate_sound(cone_tests)
         best, iterations, trajectory, termination = reference_ascent(r)
         assert np.array(res.trajectory).tobytes() == np.array(trajectory).tobytes()
         assert res.best_point.lam.tobytes() == best.lam.tobytes()
@@ -417,6 +485,7 @@ class TestDualAscent:
     def test_cone_test_skipped_on_unimproving_points(self, n, seed, deferred, monkeypatch):
         r = euclidean_reduced(n, seed)
         counts = dict.fromkeys(("cone", "value", "raised", "skipped", "deferred"), 0)
+        system = dual._ShiftedSystem
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -424,7 +493,7 @@ class TestDualAscent:
                 return fn(*args, **kwargs)
             return wrapper
 
-        value = dual.dual_value
+        value = system.value
 
         def classified_value(*args, **kwargs):
             try:
@@ -435,9 +504,9 @@ class TestDualAscent:
             counts["skipped"] += ev is None
             return ev
 
-        monkeypatch.setattr(dual, "_cone_failure", counted("cone", dual._cone_failure))
-        monkeypatch.setattr(dual, "dual_value", counted("value", classified_value))
-        monkeypatch.setattr(dual, "dual_feasible", counted("deferred", dual.dual_feasible))
+        monkeypatch.setattr(system, "_cone_failure", counted("cone", system._cone_failure))
+        monkeypatch.setattr(system, "value", counted("value", classified_value))
+        monkeypatch.setattr(system, "feasible", counted("deferred", system.feasible))
         res = dual_ascent(r)
         accepted = len(res.trajectory) - 1
         # every call is the start, an accepted step, a rejection or a skip
@@ -475,20 +544,20 @@ class TestDualAscent:
         [
             # the start's +1 shift rounds away: Cholesky fails although
             # eigvalsh reports a positive eigenvalue
-            (6, 1, 1e17, "Cholesky factorization failed (min eigenvalue {!r})"),
+            (6, 1, 1e17, "Cholesky factorization failed (min eigenvalue 162.2392578124681)"),
             # the start is singular to working precision: a zero pivot
             (5, 1, 1e300, "the solve for Y broke down (min eigenvalue {!r})"),
         ],
         ids=["cholesky", "solve"],
     )
-    def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure):
-        d, _ = random_euclidean_instance(n, seed)
-        r = reduce_formulation(build_formulation(DistanceMatrix(n, scale * d.entries)))
+    def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure, cone_tests):
+        r = scaled_reduced(n, seed, scale)
         lo = dual_feasible(r, default_start(r))[1]
         with pytest.raises(TspdualError) as exc:
             dual_ascent(r)
         assert type(exc.value) is TspdualError
         assert str(exc.value) == "start is not dual feasible: " + failure.format(lo)
+        assert_certificate_sound(cone_tests)
 
     def test_iteration_cap(self, reduced, monkeypatch):
         monkeypatch.setattr(dual, "MAX_ITER", 3)
@@ -502,6 +571,57 @@ class TestDualAscent:
             r = reduce_formulation(build_formulation(d))
             ok, _ = dual_feasible(r, default_start(r))
             assert ok
+
+
+class TestConeCertificate:
+    """The cone test skips its Cholesky attempt only where eigvalsh and
+    Higham's Thm 10.7 prove that it succeeds."""
+
+    # 2^-540 and 2^500 put ||W||_inf below and above the cap's window
+    @pytest.mark.parametrize("k", [-540, -40, 20, 56, 500])
+    def test_sound_on_scaled_default_starts(self, k, cone_tests):
+        scale = 2.0**k
+        for n in range(4, 11):
+            # the instance scaled, then its own start: the start's + 1 is
+            # lost to rounding at large k
+            r = scaled_reduced(n, 0, scale)
+            dual_feasible(r, default_start(r))
+            # the start scaled with its instance: W scales exactly
+            mu = scale * default_start(euclidean_reduced(n, 0)).mu
+            dual_feasible(r, point(np.zeros(r.n_multipliers), mu))
+        assert_certificate_sound(cone_tests)
+        exact = [attempted for *_, attempted in cone_tests[1::2]]
+        assert exact == [k in (-540, 500)] * 7
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_sound_at_the_cone_edge(self, n, cone_tests):
+        r = euclidean_reduced(n, 0)
+        mu = default_start(r).mu
+        mu = mu - np.linalg.eigvalsh(r.A_r + np.diag(mu))[0]  # lambda_min about 0
+        for delta in (0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9):
+            for shift in (delta, -delta):
+                dual_feasible(r, point(np.zeros(r.n_multipliers), mu + shift))
+        assert_certificate_sound(cone_tests)
+        # some point that the slack sends to Cholesky has lo above
+        # theta * max diag(W), so the slack decides there
+        theta = higham_theta(r.dim)
+        assert any(
+            attempted and lo > theta * W.diagonal().max()
+            for W, (_, lo), attempted in cone_tests
+        )
+
+    def test_linalg_calls_pinned(self, monkeypatch):
+        counts = dict.fromkeys(("eigvalsh", "solve", "cholesky"), 0)
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        dual_ascent(euclidean_reduced(10, 0))
+        assert counts == {"eigvalsh": 1941, "solve": 3903, "cholesky": 0}
 
 
 class TestVerifyGlobal:

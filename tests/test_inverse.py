@@ -336,7 +336,7 @@ def scored_batches(draw):
 def unscreened(ev, rows, L, floor):
     """evaluate with the Cholesky screen off: no row is below its cap."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inverse, "SCREEN_MAGNITUDE_CAP", 0.0)
+        mp.setattr(inverse, "CHOLESKY_MAGNITUDE_CAP", 0.0)
         return ev.evaluate(rows, L, floor)
 
 
@@ -403,6 +403,14 @@ class TestBoundPruning:
         below = np.nextafter(exact, -np.inf)
         assert np.array_equal(ev.evaluate(rows, L, below), exact)
         assert sum(solved) == 8
+
+    def test_screen_constant_keeps_its_bits(self):
+        # theta_dim + 6u with dim = (n - 1)^2, pinned bit for bit
+        assert [evaluator(n).screen_rel.hex() for n in range(4, 11)] == [
+            "0x1.8000000000046p-47", "0x1.160000000009ap-45", "0x1.48000000001adp-44",
+            "0x1.4e8000000037ap-43", "0x1.33000000005d7p-42", "0x1.0460000000862p-41",
+            "0x1.9f8000000154cp-41",
+        ]
 
     def test_cholesky_gufunc_marks_exactly_the_failures(self):
         # the screen reads a failed factorization as an all-NaN matrix from
