@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,9 @@ class DualEvaluation:
     grad_mu: np.ndarray
     min_eig: float
 
-    @property
+    @cached_property
     def grad_norm(self) -> float:
-        return _grad_norm(self.grad_lambda, self.grad_mu)
-
-
-def _grad_norm(grad_lambda: np.ndarray, grad_mu: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grad_lambda**2) + np.sum(grad_mu**2)))
+        return float(np.sqrt(np.sum(self.grad_lambda**2) + np.sum(self.grad_mu**2)))
 
 
 class Termination(Enum):
@@ -111,36 +108,16 @@ def point(lam, mu) -> DualPoint:
     )
 
 
-def _check_point(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> None:
-    if lam.shape != (r.n_multipliers,) or mu.shape != (r.dim,):
-        raise ValueError(
-            f"expected lambda length {r.n_multipliers} and mu length {r.dim}, "
-            f"got {lam.shape} and {mu.shape}"
-        )
-
-
-def _shifted_b(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return r.b_r + 0.5 * mu - r.E_r.T @ lam
-
-
-def assemble(r: ReducedProblem, p: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted matrix A_r + diag(mu) and vector b_r + mu/2 - E_r^T lam."""
-    _check_point(r, p.lam, p.mu)
-    return r.A_r + np.diag(p.mu), _shifted_b(r, p.lam, p.mu)
-
-
-def min_eigenvalue(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(M)[0])
-
-
-class _ShiftedSystem:
-    """The shifted system of one reduced problem, one point at a time.
+class ShiftedSystem:
+    """The shifted system of one reduced problem, one point at a time: the
+    one place outside inverse's batched evaluator that forms A_r + diag(mu)
+    and b, takes the smallest eigenvalue and runs the cone test.
 
     W is a work matrix that holds A_r + diag(mu) of the last point, with
-    the bits of assemble: A_r + 0.0 off the diagonal, A_r_ii + mu_i on it.
-    A point rewrites only the diagonal, so the finiteness and |row| sums
-    of the off-diagonal part are computed once.  The methods return plain
-    tuples; dual_value wraps one in a DualEvaluation.
+    the bits of r.A_r + np.diag(mu): A_r + 0.0 off the diagonal, A_r_ii +
+    mu_i on it, and b holds b_r + mu/2 - E_r^T lam.  A point rewrites only
+    the diagonal, so the finiteness and |row| sums of the off-diagonal
+    part are computed once.
     """
 
     def __init__(self, r: ReducedProblem):
@@ -153,10 +130,16 @@ class _ShiftedSystem:
         self.off_sums = np.abs(self.W).sum(axis=1)
         self.theta = cholesky_theta(r.dim)
 
-    def _shift(self, lam: np.ndarray, mu: np.ndarray) -> bool:
-        """Writes A_r + diag(mu) into W; returns whether it is finite."""
-        _check_point(self.r, lam, mu)
+    def _write(self, lam: np.ndarray, mu: np.ndarray) -> bool:
+        """Writes the point (lam, mu) into W and b; returns whether W is
+        finite."""
+        if lam.shape != (self.r.n_multipliers,) or mu.shape != (self.r.dim,):
+            raise ValueError(
+                f"expected lambda length {self.r.n_multipliers} and mu length "
+                f"{self.r.dim}, got {lam.shape} and {mu.shape}"
+            )
         self.diag[:] = self.a_diag + mu
+        self.b = self.r.b_r + 0.5 * mu - self.r.E_r.T @ lam
         return self.off_finite and bool(np.isfinite(self.diag).all())
 
     def _cone_failure(self, finite: bool) -> tuple[str | None, float]:
@@ -176,7 +159,7 @@ class _ShiftedSystem:
         """
         if not finite:
             return "shifted matrix has a non-finite entry", math.nan
-        lo = min_eigenvalue(self.W)
+        lo = float(np.linalg.eigvalsh(self.W)[0])
         norm = float(np.max(self.off_sums + np.abs(self.diag)))  # ||W||_inf
         proven = (
             1 / CHOLESKY_MAGNITUDE_CAP < norm < CHOLESKY_MAGNITUDE_CAP
@@ -193,20 +176,26 @@ class _ShiftedSystem:
 
     def feasible(self, lam: np.ndarray, mu: np.ndarray) -> tuple[bool, float]:
         """dual_feasible of the point (lam, mu)."""
-        failure, lo = self._cone_failure(self._shift(lam, mu))
+        failure, lo = self._cone_failure(self._write(lam, mu))
         return failure is None, lo
 
-    def value(self, lam: np.ndarray, mu: np.ndarray, floor: float = -math.inf):
-        """dual_value of the point (lam, mu), as the tuple (value, Y,
-        grad_lambda, grad_mu, min_eig), or None where dual_value skips it."""
-        finite = self._shift(lam, mu)
-        b_vec = _shifted_b(self.r, lam, mu)
+    def value(
+        self, lam: np.ndarray, mu: np.ndarray, floor: float = -math.inf
+    ) -> DualEvaluation | None:
+        """Dual function value, recovered minimizer, and its gradient.
+
+        The solve runs before the cone test, so a point whose Y is finite
+        and whose value is <= floor returns None without paying for the
+        test.  Every other point is judged as with no floor: the cone test
+        first, then the solve, each with its own NotDualFeasible message.
+        """
+        finite = self._write(lam, mu)
         y = None
-        if finite and np.isfinite(b_vec).all():
-            y = _solve(self.W, b_vec)  # a non-finite b_vec breaks the solve down
+        if finite and np.isfinite(self.b).all():
+            y = _solve(self.W, self.b)  # a non-finite b breaks the solve down
         value = math.nan
         if y is not None:
-            value = -0.5 * float(b_vec @ y) - float(np.sum(lam))
+            value = -0.5 * float(self.b @ y) - float(np.sum(lam))
         if floor > -math.inf and value <= floor:  # never for nan, nor with no floor
             return None
         failure, lo = self._cone_failure(finite)
@@ -214,15 +203,20 @@ class _ShiftedSystem:
             raise NotDualFeasible(failure)
         if y is None:
             raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
-        grad_lambda = self.r.E_r @ y - np.ones(self.r.n_multipliers)
-        return value, y, grad_lambda, 0.5 * (y * y - y), lo
+        return DualEvaluation(
+            value=value,
+            Y=y,
+            grad_lambda=self.r.E_r @ y - np.ones(self.r.n_multipliers),
+            grad_mu=0.5 * (y * y - y),
+            min_eig=lo,
+        )
 
 
 def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
     """Strict positive definiteness of the shifted matrix: finite entries,
     Cholesky success, and the smallest eigenvalue against PD_TOLERANCE.
     """
-    return _ShiftedSystem(r).feasible(p.lam, p.mu)
+    return ShiftedSystem(r).feasible(p.lam, p.mu)
 
 
 def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
@@ -234,18 +228,10 @@ def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
     return y if np.isfinite(y).all() else None  # singular to working precision
 
 
-def dual_value(
-    r: ReducedProblem, p: DualPoint, floor: float = -math.inf
-) -> DualEvaluation | None:
-    """Dual function value, recovered minimizer, and its gradient.
-
-    The solve runs before the cone test, so a point whose Y is finite and
-    whose value is <= floor returns None without paying for the test.
-    Every other point is judged as with no floor: the cone test first,
-    then the solve, each with its own NotDualFeasible message.
-    """
-    ev = _ShiftedSystem(r).value(p.lam, p.mu, floor)
-    return None if ev is None else DualEvaluation(*ev)
+def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
+    """Dual function value, recovered minimizer, and its gradient at p:
+    ShiftedSystem.value with no floor."""
+    return ShiftedSystem(r).value(p.lam, p.mu)
 
 
 def default_start(r: ReducedProblem) -> DualPoint:
@@ -263,23 +249,22 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
     so accepted iterates only ever improve the dual value.  A trial point
     that does not improve is rejected before its cone test, which runs
     only if no step of the iteration is accepted and the termination
-    hangs on it.  All points share one _ShiftedSystem.
+    hangs on it.  All points share one ShiftedSystem.
     """
     p = start if start is not None else default_start(r)
-    system = _ShiftedSystem(r)
+    system = ShiftedSystem(r)
     lam, mu = p.lam, p.mu
     try:
-        value, _, grad_lambda, grad_mu, lo = system.value(lam, mu)
+        ev = system.value(lam, mu)
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
-    grad_norm = _grad_norm(grad_lambda, grad_mu)
-    trajectory = [(value, grad_norm, lo)]
+    trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
     step = INITIAL_STEP
     stall = 0
     termination = Termination.IterationCap
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        if grad_norm < GTOL:
+        if ev.grad_norm < GTOL:
             termination = Termination.GradientSmall
             iterations -= 1
             break
@@ -288,20 +273,18 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
         unimproving = []  # trial points skipped before the cone test
         t = step
         while t >= MIN_STEP:
-            cand_lam, cand_mu = lam + t * grad_lambda, mu + t * grad_mu
+            cand_lam, cand_mu = lam + t * ev.grad_lambda, mu + t * ev.grad_mu
             try:
-                cand = system.value(cand_lam, cand_mu, floor=value)
+                cand = system.value(cand_lam, cand_mu, floor=ev.value)
             except NotDualFeasible:
                 left_cone = True
                 t *= 0.5
                 continue
             if cand is None:
                 unimproving.append((cand_lam, cand_mu))
-            elif cand[0] > value:
-                lam, mu = cand_lam, cand_mu
-                value, _, grad_lambda, grad_mu, lo = cand
-                grad_norm = _grad_norm(grad_lambda, grad_mu)
-                trajectory.append((value, grad_norm, lo))
+            elif cand.value > ev.value:
+                lam, mu, ev = cand_lam, cand_mu, cand
+                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
                 accepted = True
                 step = 2.0 * t  # cautious growth for the next iteration
                 break
@@ -325,7 +308,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
             stall = 0
     return AscentResult(
         best_point=DualPoint(lam, mu),
-        best_value=value,
+        best_value=ev.value,
         iterations=iterations,
         trajectory=trajectory,
         termination=termination,

@@ -194,11 +194,6 @@ def points_to_distance_matrix(points: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(n=len(points), entries=np.hypot(diff[..., 0], diff[..., 1]))
 
 
-def load_instance(path) -> tuple[DistanceMatrix, np.ndarray | None]:
-    """Read `{"n": int, "d": [row-major reals], "points": optional}` JSON."""
-    return instance_from_dict(read_json(path))
-
-
 def read_json(path):
     """Parsed contents of a JSON file.  Bytes that are not UTF-8 raise
     UnicodeDecodeError, malformed text json.JSONDecodeError, and JSON that
@@ -214,9 +209,10 @@ def read_json(path):
 
 
 def instance_from_dict(payload) -> tuple[DistanceMatrix, np.ndarray | None]:
-    """Parsed instance JSON -> (validated matrix, points or None).  Types
-    follow the config loader's rules (a bool or a float is not an int);
-    anything else raises InstanceError."""
+    """Parsed instance JSON, `{"n": int, "d": [row-major reals], "points":
+    optional}` -> (validated matrix, points or None).  Types follow the
+    config loader's rules (a bool or a float is not an int); anything else
+    raises InstanceError."""
     if not isinstance(payload, dict):
         raise InstanceError(f"instance must be a JSON object, got {_brief(payload)}")
     n = payload.get("n")

@@ -13,6 +13,7 @@ positivity penalty catches.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -28,11 +29,8 @@ from .dual import (
     CHOLESKY_MAGNITUDE_CAP,
     PD_TOLERANCE,
     UNIT_ROUNDOFF,
-    assemble,
+    ShiftedSystem,
     cholesky_theta,
-    dual_feasible,
-    min_eigenvalue,
-    point,
 )
 from .formulation import build_formulation
 from .instance import (
@@ -158,23 +156,28 @@ def edm_violations(d: DistanceMatrix) -> float:
 class ScoreBreakdown:
     score: float
     min_eig: float
+    in_cone: bool
     mu: np.ndarray
     margins: np.ndarray
     edm_violations: float
     stationarity_residual: float
-    reduced: ReducedProblem
 
 
 def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     """Scalar search objective via the full formulation/reduction chain:
     smallest eigenvalue of A_r + diag(mu), penalized by optimality-margin
-    and EDM violations; also the stationarity residual max|A Ybar - b| of
-    (lam, mu), read from the same assembled (A, b).
+    and EDM violations.  One cone test of (lam, mu) on one ShiftedSystem
+    gives that eigenvalue and whether the point is in the cone; the
+    stationarity residual max|A Ybar - b| is read from the same system.
+    A non-finite shifted matrix raises ValueError.
     """
     r = reduce_formulation(build_formulation(d))
+    lam = np.asarray(lam, dtype=float)
     mu = eliminate_mu(r, lam)
-    A_mat, b_vec = assemble(r, point(lam, mu))
-    lo = min_eigenvalue(A_mat)
+    system = ShiftedSystem(r)
+    in_cone, lo = system.feasible(lam, mu)
+    if math.isnan(lo):  # the cone test takes no eigenvalue of a non-finite W
+        raise ValueError("the replayed shifted matrix has a non-finite entry")
     _check_pd_implies_positive_mu(lo, mu.min())
     margins = optimality_margins(d)
     edm = edm_violations(d)
@@ -182,11 +185,13 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     return ScoreBreakdown(
         score=lo - PENALTY_WEIGHT * violation,
         min_eig=lo,
+        in_cone=in_cone,
         mu=mu,
         margins=margins,
         edm_violations=edm,
-        stationarity_residual=float(np.max(np.abs(A_mat @ default_target(r.n) - b_vec))),
-        reduced=r,
+        stationarity_residual=float(
+            np.max(np.abs(system.W @ default_target(r.n) - system.b))
+        ),
     )
 
 
@@ -430,10 +435,9 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
         and residual <= STATIONARITY_TOL
     ):
         # the checks the score does not make: the exact triangle inequality,
-        # and the cone test's finiteness, Cholesky and PD_TOLERANCE on the
-        # replay's own reduced problem
+        # and the replay's cone test (finiteness, Cholesky, PD_TOLERANCE)
         validate_distance_matrix(d.entries, metric=True)
-        if dual_feasible(breakdown.reduced, point(lam, mu))[0]:
+        if breakdown.in_cone:
             verdict = SearchVerdict.FeasibleCounterexample
 
     return InverseSearchReport(

@@ -516,7 +516,7 @@ def test_program_error_is_not_an_input_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.inverse_mod, "inverse_search", broken)
     with pytest.raises(ValueError, match="cannot reshape array"):
         main(["inverse", "--out", str(tmp_path / "o")])
-    # a shape check inside the program: one mu too many for assemble
+    # a shape check inside the program: one mu too many for the shifted system
     def long_mu(r):
         return cli.dual_mod.point(np.zeros(r.n_multipliers), np.ones(r.dim + 1))
 

@@ -7,9 +7,9 @@ from _helpers import sample_splus
 from tspdual import dual
 from tspdual.dual import (
     DualEvaluation,
+    ShiftedSystem,
     Termination,
     Verdict,
-    assemble,
     default_start,
     dual_ascent,
     dual_feasible,
@@ -164,14 +164,18 @@ def assert_same_evaluation(ev, ref):
 
 
 class TestAssemble:
+    """ShiftedSystem's assembly of A_r + diag(mu) and b at each point."""
+
     def test_zero_multipliers(self, reduced):
-        A_mat, b_vec = assemble(reduced, point(np.zeros(5), np.zeros(9)))
-        assert np.array_equal(A_mat, reduced.A_r)
-        assert np.array_equal(b_vec, reduced.b_r)
+        system = ShiftedSystem(reduced)
+        system.feasible(np.zeros(5), np.zeros(9))
+        assert np.array_equal(system.W, reduced.A_r)
+        assert np.array_equal(system.b, reduced.b_r)
 
     def test_uniform_shift(self, reduced):
-        A_mat, _ = assemble(reduced, point(np.zeros(5), 3.0 * np.ones(9)))
-        assert np.array_equal(A_mat, reduced.A_r + 3.0 * np.eye(9))
+        system = ShiftedSystem(reduced)
+        system.feasible(np.zeros(5), 3.0 * np.ones(9))
+        assert np.array_equal(system.W, reduced.A_r + 3.0 * np.eye(9))
 
     def test_stationarity_row_two(self, distinct_d4):
         # at Y-bar for the identity tour, the second stationarity row reads
@@ -181,20 +185,24 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         lam = rng.normal(size=5)
         mu = rng.normal(size=9)
-        A_mat, b_vec = assemble(r, point(lam, mu))
-        lhs = (A_mat @ ybar)[1]
+        system = ShiftedSystem(r)
+        system.feasible(lam, mu)
+        assert system.W.tobytes() == (r.A_r + np.diag(mu)).tobytes()
+        lhs = (system.W @ ybar)[1]
         assert lhs == 0.0  # Y-bar_2 = 0 and the A_r row is orthogonal
         d13 = distinct_d4.d(1, 3)
-        assert b_vec[1] == pytest.approx(
+        assert system.b[1] == pytest.approx(
             -d13 + 0.5 * mu[1] - (lam[0] + lam[4]), abs=1e-14
         )
 
     def test_dimension_mismatch(self, reduced):
-        with pytest.raises(ValueError) as exc:
-            assemble(reduced, point(np.zeros(4), np.zeros(9)))
-        assert str(exc.value) == (
-            "expected lambda length 5 and mu length 9, got (4,) and (9,)"
-        )
+        system = ShiftedSystem(reduced)
+        for method in (system.feasible, system.value):
+            with pytest.raises(ValueError) as exc:
+                method(np.zeros(4), np.zeros(9))
+            assert str(exc.value) == (
+                "expected lambda length 5 and mu length 9, got (4,) and (9,)"
+            )
 
 
 class TestDualFeasible:
@@ -236,11 +244,10 @@ class TestDualValue:
     def test_large_uniform_mu_bound(self, reduced):
         # the value is nonpositive and bounded by the quadratic-form bound
         for M in (10.0, 100.0, 1000.0):
-            p = point(np.zeros(5), M * np.ones(9))
-            ev = dual_value(reduced, p)
-            _, b_vec = assemble(reduced, p)
+            system = ShiftedSystem(reduced)
+            ev = system.value(np.zeros(5), M * np.ones(9))
             assert ev.value <= 0.0
-            assert abs(ev.value) <= float(b_vec @ b_vec) / (2 * ev.min_eig)
+            assert abs(ev.value) <= float(system.b @ system.b) / (2 * ev.min_eig)
 
     def test_weak_duality_sampled(self, reduced, unit_square):
         optimum = brute_force_optimum(unit_square).best_length
@@ -347,10 +354,11 @@ class TestDualValueFloor:
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = sample_splus(reduced, rng)
+            system = ShiftedSystem(reduced)
             ev = dual_value(reduced, p)
-            assert dual_value(reduced, p, floor=ev.value) is None
-            assert dual_value(reduced, p, floor=math.inf) is None
-            below = dual_value(reduced, p, floor=np.nextafter(ev.value, -math.inf))
+            assert system.value(p.lam, p.mu, floor=ev.value) is None
+            assert system.value(p.lam, p.mu, floor=math.inf) is None
+            below = system.value(p.lam, p.mu, floor=np.nextafter(ev.value, -math.inf))
             assert_same_evaluation(below, ev)
 
     @pytest.mark.parametrize(
@@ -363,12 +371,13 @@ class TestDualValueFloor:
     )
     def test_out_of_cone_point_above_floor_raises(self, identity_fixture, shift, failure):
         r, _ = identity_fixture  # the shifted matrix is (1 + shift) I
-        p = point(np.zeros(5), np.full(9, shift))
-        A_mat, b_vec = assemble(r, p)
-        value = -0.5 * float(b_vec @ np.linalg.solve(A_mat, b_vec))
+        lam, mu = np.zeros(5), np.full(9, shift)
+        system = ShiftedSystem(r)
+        assert not system.feasible(lam, mu)[0]
+        value = -0.5 * float(system.b @ np.linalg.solve(system.W, system.b))
         with pytest.raises(NotDualFeasible, match=failure):
-            dual_value(r, p, floor=np.nextafter(value, -math.inf))
-        assert dual_value(r, p, floor=value) is None  # its cone test never ran
+            system.value(lam, mu, floor=np.nextafter(value, -math.inf))
+        assert system.value(lam, mu, floor=value) is None  # its cone test never ran
 
     @pytest.mark.parametrize(
         "lam, mu, failure",
@@ -387,7 +396,7 @@ class TestDualValueFloor:
             with pytest.raises(NotDualFeasible, match=failure) as ref:
                 reference_dual_value(r, p)
             with pytest.raises(NotDualFeasible) as got:
-                dual_value(r, p, floor=math.inf)
+                ShiftedSystem(r).value(p.lam, p.mu, floor=math.inf)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize(
@@ -403,7 +412,7 @@ class TestDualValueFloor:
         r, _ = identity_fixture
         p = point([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0], np.zeros(9))
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = dual_value(r, p, floor=floor)
+            ev = ShiftedSystem(r).value(p.lam, p.mu, floor=floor)
             ref = reference_dual_value(r, p)
         assert_same_evaluation(ev, ref)
         assert np.isfinite(ev.Y).all()
@@ -415,7 +424,7 @@ def cone_tests(monkeypatch):
     """Every cone test run while the fixture is active, as (W, its result,
     whether it attempted Cholesky)."""
     records, attempts = [], []
-    cholesky, cone = np.linalg.cholesky, dual._ShiftedSystem._cone_failure
+    cholesky, cone = np.linalg.cholesky, ShiftedSystem._cone_failure
 
     def counted_cholesky(a):
         attempts.append(None)
@@ -428,7 +437,7 @@ def cone_tests(monkeypatch):
         return result
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    monkeypatch.setattr(dual._ShiftedSystem, "_cone_failure", recorded)
+    monkeypatch.setattr(ShiftedSystem, "_cone_failure", recorded)
     return records
 
 
@@ -485,7 +494,7 @@ class TestDualAscent:
     def test_cone_test_skipped_on_unimproving_points(self, n, seed, deferred, monkeypatch):
         r = euclidean_reduced(n, seed)
         counts = dict.fromkeys(("cone", "value", "raised", "skipped", "deferred"), 0)
-        system = dual._ShiftedSystem
+        system = ShiftedSystem
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):

@@ -13,8 +13,8 @@ from tspdual.instance import (
     canonical_tour,
     canonical_tours,
     instance_from_dict,
-    load_instance,
     random_euclidean_instance,
+    read_json,
     save_instance,
     tour_length,
     tour_lengths,
@@ -285,7 +285,7 @@ class TestInstanceIO:
     def test_round_trip(self, tmp_path, unit_square):
         path = tmp_path / "inst.json"
         save_instance(path, unit_square)
-        d, points = load_instance(path)
+        d, points = instance_from_dict(read_json(path))
         assert np.array_equal(d.entries, unit_square.entries)
         assert points is None
 
@@ -293,7 +293,7 @@ class TestInstanceIO:
         d, pts = random_euclidean_instance(4, 5)
         path = tmp_path / "inst.json"
         save_instance(path, d, pts)
-        d2, pts2 = load_instance(path)
+        d2, pts2 = instance_from_dict(read_json(path))
         assert np.array_equal(d.entries, d2.entries)
         assert np.array_equal(pts, pts2)
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tspdual import inverse
+from tspdual import dual, inverse
 from tspdual.cli import main
-from tspdual.dual import assemble, point
+from tspdual.dual import dual_feasible, point
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -62,17 +62,29 @@ class TestEliminateMu:
             -2 * (d.d(3, 2) + d.d(3, 4) + lam[1] + lam[4]), abs=1e-12
         )
 
-    def test_stationarity_by_construction(self):
+    def test_stationarity_by_construction(self, monkeypatch):
+        # the replay's one cone test matches an independent assembly of
+        # A_r + diag(mu) and b bit for bit, and pays one eigensolve
+        eigvalsh, eigensolves = np.linalg.eigvalsh, []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: eigensolves.append(None) or eigvalsh(a)
+        )
         rng = np.random.default_rng(0)
         for seed in range(100):
             d, _ = random_euclidean_instance(4, seed)
             r = reduce_formulation(build_formulation(d))
             lam = rng.normal(scale=5.0, size=5)
             mu = eliminate_mu(r, lam)
-            A, b = assemble(r, point(lam, mu))
+            A = r.A_r + np.diag(mu)
+            b = r.b_r + 0.5 * mu - r.E_r.T @ lam
             residual = float(np.max(np.abs(A @ default_target(4) - b)))
             assert residual <= 1e-12
-            assert feasibility_score(d, lam).stationarity_residual == residual
+            before = len(eigensolves)
+            breakdown = feasibility_score(d, lam)
+            assert len(eigensolves) == before + 1
+            assert breakdown.stationarity_residual == residual
+            assert breakdown.min_eig == eigvalsh(A)[0]
+            assert breakdown.in_cone == dual_feasible(r, point(lam, mu))[0]
 
 
 def reversal(n):
@@ -196,6 +208,21 @@ class TestFeasibilityScore:
         b = feasibility_score(unit_square, np.zeros(5))
         assert a.score == b.score
         assert a.min_eig == b.min_eig
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_replay_raises(self, value):
+        # a non-finite lambda makes a non-finite shifted matrix, which has
+        # no eigenvalue to score
+        d, _ = random_euclidean_instance(5, 0)
+        lam = np.zeros(7)
+        lam[2] = value
+        if value == np.inf:
+            # inf * 0 in E_r^T lam is an invalid value, an error in this suite
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                feasibility_score(d, lam)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                feasibility_score(d, lam)
 
     def test_assembled_matrix_structure(self, distinct_d4):
         # diagonal is exactly mu; off-diagonal pattern is the block display
@@ -633,40 +660,39 @@ class TestInverseSearch:
 
 class TestVerdictBranch:
     """The counterexample branch of inverse_search, entered by a score
-    whose breakdown passes every clause: the verdict then rests on the
-    cone test of the replay's own point."""
+    whose breakdown passes every clause: the verdict then rests on
+    in_cone, the result of the replay's one cone test."""
 
     @pytest.mark.parametrize("replay", ["in_cone", "out_of_cone", "unchanged"])
     def test_verdict_follows_the_replay(self, monkeypatch, replay):
         calls = {"build": 0, "cone": 0}
         build, cone, score = (
-            inverse.build_formulation, inverse.dual_feasible, inverse.feasibility_score
+            inverse.build_formulation, dual.ShiftedSystem.feasible, inverse.feasibility_score
         )
 
         def counting_build(d):
             calls["build"] += 1
             return build(d)
 
-        def counting_cone(r, p):
+        def counting_cone(*args):
             calls["cone"] += 1
-            return cone(r, p)
+            return cone(*args)
 
         def passing_score(d, lam):
             b = score(d, lam)
             if replay == "unchanged":
                 return b
-            dominant = 1.0 + np.abs(b.reduced.A_r).sum(axis=1)
             return replace(
                 b,
                 min_eig=1.0,
-                mu=dominant if replay == "in_cone" else -dominant,
+                in_cone=replay == "in_cone",
                 margins=np.ones_like(b.margins),
                 edm_violations=0.0,
                 stationarity_residual=0.0,
             )
 
         monkeypatch.setattr(inverse, "build_formulation", counting_build)
-        monkeypatch.setattr(inverse, "dual_feasible", counting_cone)
+        monkeypatch.setattr(dual.ShiftedSystem, "feasible", counting_cone)
         monkeypatch.setattr(inverse, "feasibility_score", passing_score)
         rep = inverse_search(cfg=SearchConfig(n=5, restarts=2, local_iters=30, seed=3))
         expected = {
@@ -675,7 +701,8 @@ class TestVerdictBranch:
             "unchanged": SearchVerdict.NoFeasiblePointFound,
         }[replay]
         assert rep.verdict is expected
-        assert calls == {"build": 1, "cone": 0 if replay == "unchanged" else 1}
+        # the replay's one cone test decides the verdict; none runs after it
+        assert calls == {"build": 1, "cone": 1}
 
 
 class TestSearchConfig:
