@@ -188,13 +188,13 @@ def _run_dual(d: DistanceMatrix):
     result = dual_mod.dual_ascent(r)
     oracle = brute_force_optimum(d)
     optimum = oracle.best_length
-    if result.best_value > optimum + WEAK_DUALITY_RTOL * abs(optimum):
+    if result.best.value > optimum + WEAK_DUALITY_RTOL * abs(optimum):
         raise TspdualError(
-            f"dual bound {result.best_value!r} exceeds the optimum {optimum!r}: "
+            f"dual bound {result.best.value!r} exceeds the optimum {optimum!r}: "
             "the ascent's value is no lower bound at this distance scale"
         )
-    verdict = dual_mod.verify_global(r, result.best_point, oracle)
-    return result, optimum, verdict, optimum - result.best_value
+    verdict = dual_mod.verify_global(r, result.best, oracle)
+    return result, optimum, verdict, optimum - result.best.value
 
 
 def cmd_dual(d: DistanceMatrix, config: dict) -> Result:
@@ -207,7 +207,7 @@ def cmd_dual(d: DistanceMatrix, config: dict) -> Result:
         "n": d.n,
         "seed": config["seed"],
         "oracle_optimum": optimum,
-        "dual_bound": result.best_value,
+        "dual_bound": result.best.value,
         "gap": gap,
         "iterations": result.iterations,
         "termination": result.termination.value,
@@ -244,7 +244,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> Result:
                 confirmed.append(instance_id)
             lines.append(
                 f"{instance_id},{n},{inst_seed},"
-                f"{optimum!r},{result.best_value!r},{gap!r},"
+                f"{optimum!r},{result.best.value!r},{gap!r},"
                 f"{result.iterations},{result.termination.value}"
             )
     if gaps:

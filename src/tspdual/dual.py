@@ -55,17 +55,11 @@ def cholesky_theta(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class DualPoint:
+class DualEvaluation:
+    """A dual point (lam, mu) that passed the cone test, with its value,
+    recovered minimizer and gradient."""
     lam: np.ndarray
     mu: np.ndarray
-
-    def __post_init__(self):
-        self.lam.flags.writeable = False
-        self.mu.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class DualEvaluation:
     value: float
     Y: np.ndarray
     grad_lambda: np.ndarray
@@ -85,7 +79,6 @@ class Termination(Enum):
 
 
 class Verdict(Enum):
-    NotInSPlus = "NotInSPlus"
     NotCriticalPoint = "NotCriticalPoint"
     RecoveredYNotBinary = "RecoveredYNotBinary"
     RecoveredYNotFeasible = "RecoveredYNotFeasible"
@@ -95,17 +88,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class AscentResult:
-    best_point: DualPoint
-    best_value: float
+    best: DualEvaluation  # the last accepted point
     iterations: int
     trajectory: list[tuple[float, float, float]]
     termination: Termination
-
-
-def point(lam, mu) -> DualPoint:
-    return DualPoint(
-        lam=np.array(lam, dtype=float), mu=np.array(mu, dtype=float)
-    )
 
 
 class ShiftedSystem:
@@ -204,6 +190,8 @@ class ShiftedSystem:
         if y is None:
             raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
         return DualEvaluation(
+            lam=lam,
+            mu=mu,
             value=value,
             Y=y,
             grad_lambda=self.r.E_r @ y - np.ones(self.r.n_multipliers),
@@ -212,11 +200,13 @@ class ShiftedSystem:
         )
 
 
-def dual_feasible(r: ReducedProblem, p: DualPoint) -> tuple[bool, float]:
+def dual_feasible(
+    r: ReducedProblem, lam: np.ndarray, mu: np.ndarray
+) -> tuple[bool, float]:
     """Strict positive definiteness of the shifted matrix: finite entries,
     Cholesky success, and the smallest eigenvalue against PD_TOLERANCE.
     """
-    return ShiftedSystem(r).feasible(p.lam, p.mu)
+    return ShiftedSystem(r).feasible(lam, mu)
 
 
 def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
@@ -228,21 +218,20 @@ def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
     return y if np.isfinite(y).all() else None  # singular to working precision
 
 
-def dual_value(r: ReducedProblem, p: DualPoint) -> DualEvaluation:
-    """Dual function value, recovered minimizer, and its gradient at p:
-    ShiftedSystem.value with no floor."""
-    return ShiftedSystem(r).value(p.lam, p.mu)
+def dual_value(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> DualEvaluation:
+    """Dual function value, recovered minimizer, and its gradient at
+    (lam, mu): ShiftedSystem.value with no floor."""
+    return ShiftedSystem(r).value(lam, mu)
 
 
-def default_start(r: ReducedProblem) -> DualPoint:
-    """Strictly diagonally dominant shift: a constructive proof that the
-    dual feasible cone is nonempty.
+def default_start(r: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, mu) with a strictly diagonally dominant shift: a constructive
+    proof that the dual feasible cone is nonempty.
     """
-    mu = 1.0 + np.sum(np.abs(r.A_r), axis=1)
-    return point(np.zeros(r.n_multipliers), mu)
+    return np.zeros(r.n_multipliers), 1.0 + np.sum(np.abs(r.A_r), axis=1)
 
 
-def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResult:
+def dual_ascent(r: ReducedProblem) -> AscentResult:
     """Gradient ascent with backtracking inside the cone: the trial step
     p + t * grad g is not projected; a trial point that leaves the
     positive-definite cone or does not improve is rejected and t halved,
@@ -251,11 +240,9 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
     only if no step of the iteration is accepted and the termination
     hangs on it.  All points share one ShiftedSystem.
     """
-    p = start if start is not None else default_start(r)
     system = ShiftedSystem(r)
-    lam, mu = p.lam, p.mu
     try:
-        ev = system.value(lam, mu)
+        ev = system.value(*default_start(r))
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
@@ -273,7 +260,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
         unimproving = []  # trial points skipped before the cone test
         t = step
         while t >= MIN_STEP:
-            cand_lam, cand_mu = lam + t * ev.grad_lambda, mu + t * ev.grad_mu
+            cand_lam, cand_mu = ev.lam + t * ev.grad_lambda, ev.mu + t * ev.grad_mu
             try:
                 cand = system.value(cand_lam, cand_mu, floor=ev.value)
             except NotDualFeasible:
@@ -283,7 +270,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
             if cand is None:
                 unimproving.append((cand_lam, cand_mu))
             elif cand.value > ev.value:
-                lam, mu, ev = cand_lam, cand_mu, cand
+                ev = cand
                 trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
                 accepted = True
                 step = 2.0 * t  # cautious growth for the next iteration
@@ -307,8 +294,7 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
         else:
             stall = 0
     return AscentResult(
-        best_point=DualPoint(lam, mu),
-        best_value=ev.value,
+        best=ev,
         iterations=iterations,
         trajectory=trajectory,
         termination=termination,
@@ -317,18 +303,15 @@ def dual_ascent(r: ReducedProblem, start: DualPoint | None = None) -> AscentResu
 
 def verify_global(
     r: ReducedProblem,
-    p: DualPoint,
+    ev: DualEvaluation,
     oracle: OracleResult,
 ) -> Verdict:
-    """Checks whether a dual point certifies the oracle optimum: cone
-    membership, criticality, binary feasible recovery, and objective
-    match, in that order.  A ConfirmsTheorem2 verdict would be a strong
-    positive finding and is expected never to occur.
+    """Checks whether an evaluated dual point, which is in the cone by
+    construction, certifies the oracle optimum: criticality, binary
+    feasible recovery, and objective match, in that order.  A
+    ConfirmsTheorem2 verdict would be a strong positive finding and is
+    expected never to occur.
     """
-    try:
-        ev = dual_value(r, p)
-    except NotDualFeasible:
-        return Verdict.NotInSPlus
     if ev.grad_norm > CRITICAL_GTOL:
         return Verdict.NotCriticalPoint
     if np.max(np.abs(ev.Y * ev.Y - ev.Y)) > BINARY_TOLERANCE:

@@ -153,12 +153,10 @@ def canonical_tours(n: int) -> np.ndarray:
     return tours
 
 
-def tour_lengths(d: DistanceMatrix, tours: np.ndarray) -> np.ndarray:
-    """Cyclic length of each row of 0-based `tours`, summed in tour order
-    from 0.0 as tour_length does, so the two agree bit for bit."""
-    n = tours.shape[1]
-    if n != d.n:
-        raise ValueError(f"tours have {n} cities, matrix has {d.n}")
+def tour_lengths(d: DistanceMatrix) -> np.ndarray:
+    """Cyclic length of each row of canonical_tours(d.n), summed in tour
+    order from 0.0 as tour_length does, so the two agree bit for bit."""
+    n, tours = d.n, canonical_tours(d.n)
     lengths = np.zeros(len(tours))
     for j in range(n):
         lengths += d.entries[tours[:, j], tours[:, (j + 1) % n]]
@@ -169,7 +167,7 @@ def brute_force_optimum(d: DistanceMatrix) -> OracleResult:
     """Exhaustive enumeration of every canonical tour.  Ties go to the
     lexicographically smallest tour, the first minimum of the table."""
     tours = canonical_tours(d.n)
-    lengths = tour_lengths(d, tours)
+    lengths = tour_lengths(d)
     best = int(np.argmin(lengths))
     best_tour = Tour(tuple(int(c) + 1 for c in tours[best]))
     return OracleResult(best_tour, float(lengths[best]))

@@ -123,7 +123,7 @@ def optimality_margins(d: DistanceMatrix) -> np.ndarray:
     positive means the target is the unique optimum; at n=4 this yields
     two inequalities.
     """
-    lengths = tour_lengths(d, canonical_tours(d.n))
+    lengths = tour_lengths(d)
     return lengths[1:] - lengths[0]
 
 

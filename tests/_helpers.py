@@ -1,17 +1,15 @@
 import numpy as np
 
-from tspdual.dual import dual_feasible, point
+from tspdual.dual import dual_feasible
 
 
 def sample_splus(r, rng, scale=2.0):
-    """Random strictly dual-feasible point: diagonally dominant mu plus a
-    Gaussian perturbation, resampled until feasible."""
+    """Random strictly dual-feasible point (lam, mu): diagonally dominant
+    mu plus a Gaussian perturbation, resampled until feasible."""
     base = 1.0 + np.abs(r.A_r).sum(axis=1)
     while True:
-        p = point(
-            rng.normal(scale=scale, size=r.n_multipliers),
-            base + rng.normal(scale=scale, size=r.dim),
-        )
-        ok, _ = dual_feasible(r, p)
+        lam = rng.normal(scale=scale, size=r.n_multipliers)
+        mu = base + rng.normal(scale=scale, size=r.dim)
+        ok, _ = dual_feasible(r, lam, mu)
         if ok:
-            return p
+            return lam, mu

@@ -11,7 +11,7 @@ import pytest
 
 from _helpers import sample_splus
 from tspdual.cli import main
-from tspdual.dual import Verdict, dual_ascent, dual_value, point, verify_global
+from tspdual.dual import Verdict, dual_ascent, dual_value, verify_global
 from tspdual.formulation import build_formulation, encode_tour, objective
 from tspdual.instance import (
     Tour,
@@ -109,7 +109,7 @@ def test_criterion_5_weak_duality():
         optimum = brute_force_optimum(d).best_length
         rng = np.random.default_rng(1000 + seed)
         for _ in range(1000):
-            ev = dual_value(r, sample_splus(r, rng))
+            ev = dual_value(r, *sample_splus(r, rng))
             if ev.value > optimum + 1e-8:
                 violations += 1
     elapsed = time.perf_counter() - t0
@@ -125,13 +125,13 @@ def test_criterion_6_gradient_check():
     h = 1e-6
     worst = 0.0
     for _ in range(100):
-        p = sample_splus(r, rng)
-        ev = dual_value(r, p)
+        lam, mu = sample_splus(r, rng)
+        ev = dual_value(r, lam, mu)
         grad = np.concatenate([ev.grad_lambda, ev.grad_mu])
         fd = np.zeros_like(grad)
         for i in range(grad.size):
-            lam_p, mu_p = p.lam.copy(), p.mu.copy()
-            lam_m, mu_m = p.lam.copy(), p.mu.copy()
+            lam_p, mu_p = lam.copy(), mu.copy()
+            lam_m, mu_m = lam.copy(), mu.copy()
             if i < 5:
                 lam_p[i] += h
                 lam_m[i] -= h
@@ -139,8 +139,8 @@ def test_criterion_6_gradient_check():
                 mu_p[i - 5] += h
                 mu_m[i - 5] -= h
             fd[i] = (
-                dual_value(r, point(lam_p, mu_p)).value
-                - dual_value(r, point(lam_m, mu_m)).value
+                dual_value(r, lam_p, mu_p).value
+                - dual_value(r, lam_m, mu_m).value
             ) / (2 * h)
         rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
         worst = max(worst, rel)
@@ -154,16 +154,16 @@ def test_criterion_7_dual_ascent_sanity(unit_square):
     values = [v for v, _, _ in res.trajectory]
     assert all(b >= a for a, b in zip(values, values[1:]))
     optimum = brute_force_optimum(unit_square).best_length
-    assert res.best_value <= optimum
-    verdict = verify_global(r, res.best_point, brute_force_optimum(unit_square))
+    assert res.best.value <= optimum
+    verdict = verify_global(r, res.best, brute_force_optimum(unit_square))
     assert verdict is not None
     # the expected negative outcome: no binary recovery
-    ev = dual_value(r, res.best_point)
+    ev = res.best
     assert np.max(np.abs(ev.Y * ev.Y - ev.Y)) > 1e-6
     assert verdict is not Verdict.ConfirmsTheorem2
     report(
         7,
-        f"bound {res.best_value:.6f} <= optimum {optimum}, verdict {verdict.value}",
+        f"bound {res.best.value:.6f} <= optimum {optimum}, verdict {verdict.value}",
     )
 
 

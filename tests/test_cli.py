@@ -518,7 +518,7 @@ def test_program_error_is_not_an_input_error(tmp_path, monkeypatch):
         main(["inverse", "--out", str(tmp_path / "o")])
     # a shape check inside the program: one mu too many for the shifted system
     def long_mu(r):
-        return cli.dual_mod.point(np.zeros(r.n_multipliers), np.ones(r.dim + 1))
+        return np.zeros(r.n_multipliers), np.ones(r.dim + 1)
 
     monkeypatch.setattr(cli.dual_mod, "default_start", long_mu)
     with pytest.raises(ValueError) as exc:

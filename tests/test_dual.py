@@ -5,6 +5,7 @@ import pytest
 
 from _helpers import sample_splus
 from tspdual import dual
+from tspdual.cli import _run_dual
 from tspdual.dual import (
     DualEvaluation,
     ShiftedSystem,
@@ -14,7 +15,6 @@ from tspdual.dual import (
     dual_ascent,
     dual_feasible,
     dual_value,
-    point,
     verify_global,
 )
 from tspdual.errors import NotDualFeasible, TspdualError
@@ -77,11 +77,11 @@ def reference_cone_failure(A_mat):
     return None, lo
 
 
-def reference_dual_value(r, p):
+def reference_dual_value(r, lam, mu):
     """dual_value before it took a floor: the cone test first on every
     point, then the solve."""
-    A_mat = r.A_r + np.diag(p.mu)
-    b_vec = r.b_r + 0.5 * p.mu - r.E_r.T @ p.lam
+    A_mat = r.A_r + np.diag(mu)
+    b_vec = r.b_r + 0.5 * mu - r.E_r.T @ lam
     failure, lo = reference_cone_failure(A_mat)
     if failure is not None:
         raise NotDualFeasible(failure)
@@ -92,7 +92,9 @@ def reference_dual_value(r, p):
     if y is None or not np.isfinite(y).all():
         raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
     return DualEvaluation(
-        value=-0.5 * float(b_vec @ y) - float(np.sum(p.lam)),
+        lam=lam,
+        mu=mu,
+        value=-0.5 * float(b_vec @ y) - float(np.sum(lam)),
         Y=y,
         grad_lambda=r.E_r @ y - np.ones(r.n_multipliers),
         grad_mu=0.5 * (y * y - y),
@@ -103,8 +105,8 @@ def reference_dual_value(r, p):
 def reference_ascent(r):
     """dual_ascent's backtracking loop with every trial point cone-tested
     before its value is compared."""
-    p = default_start(r)
-    ev = reference_dual_value(r, p)
+    lam, mu = default_start(r)
+    ev = reference_dual_value(r, lam, mu)
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
     step = dual.INITIAL_STEP
     stall = 0
@@ -119,15 +121,15 @@ def reference_ascent(r):
         left_cone = False
         t = step
         while t >= dual.MIN_STEP:
-            cand = point(p.lam + t * ev.grad_lambda, p.mu + t * ev.grad_mu)
+            cand_lam, cand_mu = lam + t * ev.grad_lambda, mu + t * ev.grad_mu
             try:
-                cand_ev = reference_dual_value(r, cand)
+                cand_ev = reference_dual_value(r, cand_lam, cand_mu)
             except NotDualFeasible:
                 left_cone = True
                 t *= 0.5
                 continue
             if cand_ev.value > ev.value:
-                p, ev = cand, cand_ev
+                lam, mu, ev = cand_lam, cand_mu, cand_ev
                 trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
                 accepted = True
                 step = 2.0 * t
@@ -143,7 +145,7 @@ def reference_ascent(r):
                 break
         else:
             stall = 0
-    return p, iterations, trajectory, termination
+    return (lam, mu), iterations, trajectory, termination
 
 
 def euclidean_reduced(n, seed):
@@ -156,6 +158,8 @@ def assert_same_evaluation(ev, ref):
     assert np.float64(ev.value).tobytes() == np.float64(ref.value).tobytes()
     assert np.float64(ev.min_eig).tobytes() == np.float64(ref.min_eig).tobytes()
     for got, want in (
+        (ev.lam, ref.lam),
+        (ev.mu, ref.mu),
         (ev.Y, ref.Y),
         (ev.grad_lambda, ref.grad_lambda),
         (ev.grad_mu, ref.grad_mu),
@@ -208,22 +212,22 @@ class TestAssemble:
 class TestDualFeasible:
     def test_diagonal_dominance(self, reduced):
         mu = 1.0 + np.abs(reduced.A_r).sum(axis=1)
-        ok, lo = dual_feasible(reduced, point(np.ones(5), mu))
+        ok, lo = dual_feasible(reduced, np.ones(5), mu)
         assert ok and lo > 0
 
     def test_zero_mu_indefinite(self, reduced):
-        ok, lo = dual_feasible(reduced, point(np.zeros(5), np.zeros(9)))
+        ok, lo = dual_feasible(reduced, np.zeros(5), np.zeros(9))
         assert not ok and lo < 0
 
     def test_negative_mu(self, reduced):
-        ok, _ = dual_feasible(reduced, point(np.zeros(5), -np.ones(9)))
+        ok, _ = dual_feasible(reduced, np.zeros(5), -np.ones(9))
         assert not ok
 
 
 class TestDualValue:
     def test_rejects_infeasible(self, reduced):
         with pytest.raises(NotDualFeasible):
-            dual_value(reduced, point(np.zeros(5), np.zeros(9)))
+            dual_value(reduced, np.zeros(5), np.zeros(9))
 
     @pytest.mark.parametrize(
         "shift, failure",
@@ -236,10 +240,10 @@ class TestDualValue:
     )
     def test_rejection_names_the_failed_test(self, identity_fixture, shift, failure):
         r, _ = identity_fixture  # A_r = I, so the shifted matrix is (1 + shift) I
-        p = point(np.zeros(5), np.full(9, shift))
-        assert not dual_feasible(r, p)[0]
+        lam, mu = np.zeros(5), np.full(9, shift)
+        assert not dual_feasible(r, lam, mu)[0]
         with pytest.raises(NotDualFeasible, match=failure):
-            dual_value(r, p)
+            dual_value(r, lam, mu)
 
     def test_large_uniform_mu_bound(self, reduced):
         # the value is nonpositive and bounded by the quadratic-form bound
@@ -253,12 +257,12 @@ class TestDualValue:
         optimum = brute_force_optimum(unit_square).best_length
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ev = dual_value(reduced, sample_splus(reduced, rng))
+            ev = dual_value(reduced, *sample_splus(reduced, rng))
             assert ev.value <= optimum + 1e-8
 
     def test_gradient_residual_form(self, identity_fixture):
         r, ybar = identity_fixture
-        ev = dual_value(r, point(np.zeros(5), np.zeros(9)))
+        ev = dual_value(r, np.zeros(5), np.zeros(9))
         assert np.array_equal(ev.Y, ybar)
         assert np.array_equal(ev.grad_lambda, np.zeros(5))
         assert np.array_equal(ev.grad_mu, np.zeros(9))
@@ -267,19 +271,19 @@ class TestDualValue:
         rng = np.random.default_rng(2)
         h = 1e-6
         for _ in range(20):
-            p = sample_splus(reduced, rng)
-            ev = dual_value(reduced, p)
+            p_lam, p_mu = sample_splus(reduced, rng)
+            ev = dual_value(reduced, p_lam, p_mu)
             grad = np.concatenate([ev.grad_lambda, ev.grad_mu])
             fd = np.zeros_like(grad)
             for i in range(5 + 9):
                 for sgn, w in ((1.0, 1.0), (-1.0, -1.0)):
-                    lam = p.lam.copy()
-                    mu = p.mu.copy()
+                    lam = p_lam.copy()
+                    mu = p_mu.copy()
                     if i < 5:
                         lam[i] += sgn * h
                     else:
                         mu[i - 5] += sgn * h
-                    fd[i] += w * dual_value(reduced, point(lam, mu)).value
+                    fd[i] += w * dual_value(reduced, lam, mu).value
             fd /= 2 * h
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(
                 1.0, np.linalg.norm(grad)
@@ -307,12 +311,12 @@ class TestDualValue:
         for _ in range(50):
             p = sample_splus(reduced, rng)
             q = sample_splus(reduced, rng)
-            mid = point(0.5 * (p.lam + q.lam), 0.5 * (p.mu + q.mu))
-            ok, _ = dual_feasible(reduced, mid)
+            mid = 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
+            ok, _ = dual_feasible(reduced, *mid)
             assert ok  # S+ is convex, so midpoints stay inside
-            g_mid = dual_value(reduced, mid).value
+            g_mid = dual_value(reduced, *mid).value
             g_avg = 0.5 * (
-                dual_value(reduced, p).value + dual_value(reduced, q).value
+                dual_value(reduced, *p).value + dual_value(reduced, *q).value
             )
             assert g_mid >= g_avg - 1e-9
 
@@ -321,10 +325,8 @@ class TestDualValue:
         p = sample_splus(reduced, rng)
         q = sample_splus(reduced, rng)
         for a in np.linspace(0.0, 1.0, 11):
-            comb = point(
-                a * p.lam + (1 - a) * q.lam, a * p.mu + (1 - a) * q.mu
-            )
-            ok, _ = dual_feasible(reduced, comb)
+            comb = a * p[0] + (1 - a) * q[0], a * p[1] + (1 - a) * q[1]
+            ok, _ = dual_feasible(reduced, *comb)
             assert ok
 
 
@@ -337,28 +339,28 @@ class TestDualValueFloor:
             base = 1.0 + np.abs(r.A_r).sum(axis=1)
             for scale in (0.0, 0.5, 1.0, 1.5):
                 for _ in range(10):
-                    p = point(
+                    p = (
                         rng.normal(size=r.n_multipliers),
                         scale * base + rng.normal(size=r.dim),
                     )
                     try:
-                        ref = reference_dual_value(r, p)
+                        ref = reference_dual_value(r, *p)
                     except NotDualFeasible as exc:
                         with pytest.raises(NotDualFeasible) as got:
-                            dual_value(r, p)
+                            dual_value(r, *p)
                         assert str(got.value) == str(exc)
                     else:
-                        assert_same_evaluation(dual_value(r, p), ref)
+                        assert_same_evaluation(dual_value(r, *p), ref)
 
     def test_skips_only_at_or_below_floor(self, reduced):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = sample_splus(reduced, rng)
+            lam, mu = sample_splus(reduced, rng)
             system = ShiftedSystem(reduced)
-            ev = dual_value(reduced, p)
-            assert system.value(p.lam, p.mu, floor=ev.value) is None
-            assert system.value(p.lam, p.mu, floor=math.inf) is None
-            below = system.value(p.lam, p.mu, floor=np.nextafter(ev.value, -math.inf))
+            ev = dual_value(reduced, lam, mu)
+            assert system.value(lam, mu, floor=ev.value) is None
+            assert system.value(lam, mu, floor=math.inf) is None
+            below = system.value(lam, mu, floor=np.nextafter(ev.value, -math.inf))
             assert_same_evaluation(below, ev)
 
     @pytest.mark.parametrize(
@@ -391,12 +393,12 @@ class TestDualValueFloor:
     )
     def test_non_finite_data_never_skipped(self, identity_fixture, lam, mu, failure):
         r, _ = identity_fixture
-        p = point(np.full(5, lam), np.full(9, mu))
+        lam, mu = np.full(5, lam), np.full(9, mu)
         with np.errstate(over="ignore"):
             with pytest.raises(NotDualFeasible, match=failure) as ref:
-                reference_dual_value(r, p)
+                reference_dual_value(r, lam, mu)
             with pytest.raises(NotDualFeasible) as got:
-                ShiftedSystem(r).value(p.lam, p.mu, floor=math.inf)
+                ShiftedSystem(r).value(lam, mu, floor=math.inf)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize(
@@ -410,10 +412,10 @@ class TestDualValueFloor:
         # nan, which no floor skips, and -0.5 * inf - inf is -inf, which
         # the absent floor must not skip either
         r, _ = identity_fixture
-        p = point([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0], np.zeros(9))
+        lam, mu = np.array([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0]), np.zeros(9)
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = ShiftedSystem(r).value(p.lam, p.mu, floor=floor)
-            ref = reference_dual_value(r, p)
+            ev = ShiftedSystem(r).value(lam, mu, floor=floor)
+            ref = reference_dual_value(r, lam, mu)
         assert_same_evaluation(ev, ref)
         assert np.isfinite(ev.Y).all()
         assert np.array_equal(ev.value, expected, equal_nan=True)
@@ -479,9 +481,12 @@ class TestDualAscent:
         assert_certificate_sound(cone_tests)
         best, iterations, trajectory, termination = reference_ascent(r)
         assert np.array(res.trajectory).tobytes() == np.array(trajectory).tobytes()
-        assert res.best_point.lam.tobytes() == best.lam.tobytes()
-        assert res.best_point.mu.tobytes() == best.mu.tobytes()
-        assert res.best_value == trajectory[-1][0]
+        # the ascent's best evaluation is the one a fresh solve at its point gives
+        ref = reference_dual_value(r, *best)
+        assert_same_evaluation(res.best, ref)
+        assert res.best.value == trajectory[-1][0]
+        oracle = brute_force_optimum(random_euclidean_instance(n, seed)[0])
+        assert verify_global(r, res.best, oracle) is verify_global(r, ref, oracle)
         assert res.iterations == iterations
         assert res.termination is termination
         assert termination is (
@@ -531,18 +536,14 @@ class TestDualAscent:
 
     def test_bound_below_optimum(self, reduced, unit_square):
         res = dual_ascent(reduced)
-        assert res.best_value <= brute_force_optimum(unit_square).best_length
+        assert res.best.value <= brute_force_optimum(unit_square).best_length
 
-    def test_restart_is_near_fixed_point(self, reduced):
-        res = dual_ascent(reduced)
-        res2 = dual_ascent(reduced, start=res.best_point)
-        assert abs(res2.best_value - res.best_value) < 1e-10
-
-    def test_rejects_infeasible_start(self, reduced):
-        start = point(np.zeros(5), np.zeros(9))
-        lo = dual_feasible(reduced, start)[1]
+    def test_rejects_infeasible_start(self, reduced, monkeypatch):
+        start = np.zeros(5), np.zeros(9)
+        lo = dual_feasible(reduced, *start)[1]
+        monkeypatch.setattr(dual, "default_start", lambda r: start)
         with pytest.raises(TspdualError) as exc:
-            dual_ascent(reduced, start=start)
+            dual_ascent(reduced)
         assert type(exc.value) is TspdualError
         assert str(exc.value) == (
             f"start is not dual feasible: Cholesky factorization failed (min eigenvalue {lo!r})"
@@ -561,7 +562,7 @@ class TestDualAscent:
     )
     def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure, cone_tests):
         r = scaled_reduced(n, seed, scale)
-        lo = dual_feasible(r, default_start(r))[1]
+        lo = dual_feasible(r, *default_start(r))[1]
         with pytest.raises(TspdualError) as exc:
             dual_ascent(r)
         assert type(exc.value) is TspdualError
@@ -578,7 +579,7 @@ class TestDualAscent:
         for seed in range(5):
             d, _ = random_euclidean_instance(4, seed)
             r = reduce_formulation(build_formulation(d))
-            ok, _ = dual_feasible(r, default_start(r))
+            ok, _ = dual_feasible(r, *default_start(r))
             assert ok
 
 
@@ -594,10 +595,10 @@ class TestConeCertificate:
             # the instance scaled, then its own start: the start's + 1 is
             # lost to rounding at large k
             r = scaled_reduced(n, 0, scale)
-            dual_feasible(r, default_start(r))
+            dual_feasible(r, *default_start(r))
             # the start scaled with its instance: W scales exactly
-            mu = scale * default_start(euclidean_reduced(n, 0)).mu
-            dual_feasible(r, point(np.zeros(r.n_multipliers), mu))
+            mu = scale * default_start(euclidean_reduced(n, 0))[1]
+            dual_feasible(r, np.zeros(r.n_multipliers), mu)
         assert_certificate_sound(cone_tests)
         exact = [attempted for *_, attempted in cone_tests[1::2]]
         assert exact == [k in (-540, 500)] * 7
@@ -605,11 +606,11 @@ class TestConeCertificate:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_sound_at_the_cone_edge(self, n, cone_tests):
         r = euclidean_reduced(n, 0)
-        mu = default_start(r).mu
+        mu = default_start(r)[1]
         mu = mu - np.linalg.eigvalsh(r.A_r + np.diag(mu))[0]  # lambda_min about 0
         for delta in (0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9):
             for shift in (delta, -delta):
-                dual_feasible(r, point(np.zeros(r.n_multipliers), mu + shift))
+                dual_feasible(r, np.zeros(r.n_multipliers), mu + shift)
         assert_certificate_sound(cone_tests)
         # some point that the slack sends to Cholesky has lo above
         # theta * max diag(W), so the slack decides there
@@ -629,21 +630,18 @@ class TestConeCertificate:
                 return _fn(*args)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        dual_ascent(euclidean_reduced(10, 0))
+        # the whole dual command: the verifier reads the ascent's best
+        # evaluation and adds no solve or eigensolve
+        _run_dual(random_euclidean_instance(10, 0)[0])
         assert counts == {"eigvalsh": 1941, "solve": 3903, "cholesky": 0}
 
 
 class TestVerifyGlobal:
-    def test_mu_zero_fails_cone_membership(self, reduced, unit_square):
-        oracle = brute_force_optimum(unit_square)
-        verdict = verify_global(reduced, point(np.zeros(5), np.zeros(9)), oracle)
-        assert verdict is Verdict.NotInSPlus
-
     def test_identity_fixture_confirms(self, identity_fixture):
         r, ybar = identity_fixture
         target_value = reduced_objective(r, ybar)
         oracle = OracleResult(best_tour=Tour((1, 2, 3, 4)), best_length=target_value)
-        verdict = verify_global(r, point(np.zeros(5), np.zeros(9)), oracle)
+        verdict = verify_global(r, dual_value(r, np.zeros(5), np.zeros(9)), oracle)
         assert verdict is Verdict.ConfirmsTheorem2
 
     def test_ascent_output_does_not_confirm(self, reduced, unit_square):
@@ -651,10 +649,10 @@ class TestVerifyGlobal:
         # boundary with a non-binary recovered Y, so no certificate appears
         oracle = brute_force_optimum(unit_square)
         res = dual_ascent(reduced)
-        verdict = verify_global(reduced, res.best_point, oracle)
+        verdict = verify_global(reduced, res.best, oracle)
         assert verdict in (
             Verdict.NotCriticalPoint,
             Verdict.RecoveredYNotBinary,
         )
-        ev = dual_value(reduced, res.best_point)
+        ev = res.best
         assert np.max(np.abs(ev.Y * ev.Y - ev.Y)) > 1e-6

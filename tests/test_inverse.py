@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tspdual import dual, inverse
 from tspdual.cli import main
-from tspdual.dual import dual_feasible, point
+from tspdual.dual import dual_feasible
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -84,7 +84,7 @@ class TestEliminateMu:
             assert len(eigensolves) == before + 1
             assert breakdown.stationarity_residual == residual
             assert breakdown.min_eig == eigvalsh(A)[0]
-            assert breakdown.in_cone == dual_feasible(r, point(lam, mu))[0]
+            assert breakdown.in_cone == dual_feasible(r, lam, mu)[0]
 
 
 def reversal(n):
