@@ -31,6 +31,7 @@ from .dual import (
     UNIT_ROUNDOFF,
     ShiftedSystem,
     cholesky_theta,
+    dual_feasible,
 )
 from .formulation import build_formulation
 from .instance import (
@@ -175,7 +176,7 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     lam = np.asarray(lam, dtype=float)
     mu = eliminate_mu(r, lam)
     system = ShiftedSystem(r)
-    in_cone, lo = system.feasible(lam, mu)
+    in_cone, lo = dual_feasible(system, lam, mu)
     if math.isnan(lo):  # the cone test takes no eigenvalue of a non-finite W
         raise ValueError("the replayed shifted matrix has a non-finite entry")
     _check_pd_implies_positive_mu(lo, mu.min())

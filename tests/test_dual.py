@@ -91,13 +91,16 @@ def reference_dual_value(r, lam, mu):
         y = None
     if y is None or not np.isfinite(y).all():
         raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
+    grad_lambda = r.E_r @ y - np.ones(r.n_multipliers)
+    grad_mu = 0.5 * (y * y - y)
     return DualEvaluation(
         lam=lam,
         mu=mu,
         value=-0.5 * float(b_vec @ y) - float(np.sum(lam)),
         Y=y,
-        grad_lambda=r.E_r @ y - np.ones(r.n_multipliers),
-        grad_mu=0.5 * (y * y - y),
+        grad_lambda=grad_lambda,
+        grad_mu=grad_mu,
+        grad_norm=float(np.sqrt(np.sum(grad_lambda**2) + np.sum(grad_mu**2))),
         min_eig=lo,
     )
 
@@ -157,6 +160,7 @@ def assert_same_evaluation(ev, ref):
     assert type(ev) is DualEvaluation
     assert np.float64(ev.value).tobytes() == np.float64(ref.value).tobytes()
     assert np.float64(ev.min_eig).tobytes() == np.float64(ref.min_eig).tobytes()
+    assert np.float64(ev.grad_norm).tobytes() == np.float64(ref.grad_norm).tobytes()
     for got, want in (
         (ev.lam, ref.lam),
         (ev.mu, ref.mu),
@@ -172,13 +176,13 @@ class TestAssemble:
 
     def test_zero_multipliers(self, reduced):
         system = ShiftedSystem(reduced)
-        system.feasible(np.zeros(5), np.zeros(9))
+        dual_feasible(system, np.zeros(5), np.zeros(9))
         assert np.array_equal(system.W, reduced.A_r)
         assert np.array_equal(system.b, reduced.b_r)
 
     def test_uniform_shift(self, reduced):
         system = ShiftedSystem(reduced)
-        system.feasible(np.zeros(5), 3.0 * np.ones(9))
+        dual_feasible(system, np.zeros(5), 3.0 * np.ones(9))
         assert np.array_equal(system.W, reduced.A_r + 3.0 * np.eye(9))
 
     def test_stationarity_row_two(self, distinct_d4):
@@ -190,7 +194,7 @@ class TestAssemble:
         lam = rng.normal(size=5)
         mu = rng.normal(size=9)
         system = ShiftedSystem(r)
-        system.feasible(lam, mu)
+        dual_feasible(system, lam, mu)
         assert system.W.tobytes() == (r.A_r + np.diag(mu)).tobytes()
         lhs = (system.W @ ybar)[1]
         assert lhs == 0.0  # Y-bar_2 = 0 and the A_r row is orthogonal
@@ -201,9 +205,9 @@ class TestAssemble:
 
     def test_dimension_mismatch(self, reduced):
         system = ShiftedSystem(reduced)
-        for method in (system.feasible, system.value):
+        for fn in (dual_feasible, dual_value):
             with pytest.raises(ValueError) as exc:
-                method(np.zeros(4), np.zeros(9))
+                fn(system, np.zeros(4), np.zeros(9))
             assert str(exc.value) == (
                 "expected lambda length 5 and mu length 9, got (4,) and (9,)"
             )
@@ -212,22 +216,22 @@ class TestAssemble:
 class TestDualFeasible:
     def test_diagonal_dominance(self, reduced):
         mu = 1.0 + np.abs(reduced.A_r).sum(axis=1)
-        ok, lo = dual_feasible(reduced, np.ones(5), mu)
+        ok, lo = dual_feasible(ShiftedSystem(reduced), np.ones(5), mu)
         assert ok and lo > 0
 
     def test_zero_mu_indefinite(self, reduced):
-        ok, lo = dual_feasible(reduced, np.zeros(5), np.zeros(9))
+        ok, lo = dual_feasible(ShiftedSystem(reduced), np.zeros(5), np.zeros(9))
         assert not ok and lo < 0
 
     def test_negative_mu(self, reduced):
-        ok, _ = dual_feasible(reduced, np.zeros(5), -np.ones(9))
+        ok, _ = dual_feasible(ShiftedSystem(reduced), np.zeros(5), -np.ones(9))
         assert not ok
 
 
 class TestDualValue:
     def test_rejects_infeasible(self, reduced):
         with pytest.raises(NotDualFeasible):
-            dual_value(reduced, np.zeros(5), np.zeros(9))
+            dual_value(ShiftedSystem(reduced), np.zeros(5), np.zeros(9))
 
     @pytest.mark.parametrize(
         "shift, failure",
@@ -241,15 +245,15 @@ class TestDualValue:
     def test_rejection_names_the_failed_test(self, identity_fixture, shift, failure):
         r, _ = identity_fixture  # A_r = I, so the shifted matrix is (1 + shift) I
         lam, mu = np.zeros(5), np.full(9, shift)
-        assert not dual_feasible(r, lam, mu)[0]
+        assert not dual_feasible(ShiftedSystem(r), lam, mu)[0]
         with pytest.raises(NotDualFeasible, match=failure):
-            dual_value(r, lam, mu)
+            dual_value(ShiftedSystem(r), lam, mu)
 
     def test_large_uniform_mu_bound(self, reduced):
         # the value is nonpositive and bounded by the quadratic-form bound
         for M in (10.0, 100.0, 1000.0):
             system = ShiftedSystem(reduced)
-            ev = system.value(np.zeros(5), M * np.ones(9))
+            ev = dual_value(system, np.zeros(5), M * np.ones(9))
             assert ev.value <= 0.0
             assert abs(ev.value) <= float(system.b @ system.b) / (2 * ev.min_eig)
 
@@ -257,12 +261,12 @@ class TestDualValue:
         optimum = brute_force_optimum(unit_square).best_length
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ev = dual_value(reduced, *sample_splus(reduced, rng))
+            ev = dual_value(ShiftedSystem(reduced), *sample_splus(reduced, rng))
             assert ev.value <= optimum + 1e-8
 
     def test_gradient_residual_form(self, identity_fixture):
         r, ybar = identity_fixture
-        ev = dual_value(r, np.zeros(5), np.zeros(9))
+        ev = dual_value(ShiftedSystem(r), np.zeros(5), np.zeros(9))
         assert np.array_equal(ev.Y, ybar)
         assert np.array_equal(ev.grad_lambda, np.zeros(5))
         assert np.array_equal(ev.grad_mu, np.zeros(9))
@@ -272,7 +276,7 @@ class TestDualValue:
         h = 1e-6
         for _ in range(20):
             p_lam, p_mu = sample_splus(reduced, rng)
-            ev = dual_value(reduced, p_lam, p_mu)
+            ev = dual_value(ShiftedSystem(reduced), p_lam, p_mu)
             grad = np.concatenate([ev.grad_lambda, ev.grad_mu])
             fd = np.zeros_like(grad)
             for i in range(5 + 9):
@@ -283,7 +287,7 @@ class TestDualValue:
                         lam[i] += sgn * h
                     else:
                         mu[i - 5] += sgn * h
-                    fd[i] += w * dual_value(reduced, lam, mu).value
+                    fd[i] += w * dual_value(ShiftedSystem(reduced), lam, mu).value
             fd /= 2 * h
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(
                 1.0, np.linalg.norm(grad)
@@ -312,11 +316,12 @@ class TestDualValue:
             p = sample_splus(reduced, rng)
             q = sample_splus(reduced, rng)
             mid = 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
-            ok, _ = dual_feasible(reduced, *mid)
+            ok, _ = dual_feasible(ShiftedSystem(reduced), *mid)
             assert ok  # S+ is convex, so midpoints stay inside
-            g_mid = dual_value(reduced, *mid).value
+            g_mid = dual_value(ShiftedSystem(reduced), *mid).value
             g_avg = 0.5 * (
-                dual_value(reduced, *p).value + dual_value(reduced, *q).value
+                dual_value(ShiftedSystem(reduced), *p).value
+                + dual_value(ShiftedSystem(reduced), *q).value
             )
             assert g_mid >= g_avg - 1e-9
 
@@ -326,7 +331,7 @@ class TestDualValue:
         q = sample_splus(reduced, rng)
         for a in np.linspace(0.0, 1.0, 11):
             comb = a * p[0] + (1 - a) * q[0], a * p[1] + (1 - a) * q[1]
-            ok, _ = dual_feasible(reduced, *comb)
+            ok, _ = dual_feasible(ShiftedSystem(reduced), *comb)
             assert ok
 
 
@@ -347,20 +352,20 @@ class TestDualValueFloor:
                         ref = reference_dual_value(r, *p)
                     except NotDualFeasible as exc:
                         with pytest.raises(NotDualFeasible) as got:
-                            dual_value(r, *p)
+                            dual_value(ShiftedSystem(r), *p)
                         assert str(got.value) == str(exc)
                     else:
-                        assert_same_evaluation(dual_value(r, *p), ref)
+                        assert_same_evaluation(dual_value(ShiftedSystem(r), *p), ref)
 
     def test_skips_only_at_or_below_floor(self, reduced):
         rng = np.random.default_rng(7)
         for _ in range(20):
             lam, mu = sample_splus(reduced, rng)
             system = ShiftedSystem(reduced)
-            ev = dual_value(reduced, lam, mu)
-            assert system.value(lam, mu, floor=ev.value) is None
-            assert system.value(lam, mu, floor=math.inf) is None
-            below = system.value(lam, mu, floor=np.nextafter(ev.value, -math.inf))
+            ev = dual_value(ShiftedSystem(reduced), lam, mu)
+            assert dual_value(system, lam, mu, floor=ev.value) is None
+            assert dual_value(system, lam, mu, floor=math.inf) is None
+            below = dual_value(system, lam, mu, floor=np.nextafter(ev.value, -math.inf))
             assert_same_evaluation(below, ev)
 
     @pytest.mark.parametrize(
@@ -375,11 +380,11 @@ class TestDualValueFloor:
         r, _ = identity_fixture  # the shifted matrix is (1 + shift) I
         lam, mu = np.zeros(5), np.full(9, shift)
         system = ShiftedSystem(r)
-        assert not system.feasible(lam, mu)[0]
+        assert not dual_feasible(system, lam, mu)[0]
         value = -0.5 * float(system.b @ np.linalg.solve(system.W, system.b))
         with pytest.raises(NotDualFeasible, match=failure):
-            system.value(lam, mu, floor=np.nextafter(value, -math.inf))
-        assert system.value(lam, mu, floor=value) is None  # its cone test never ran
+            dual_value(system, lam, mu, floor=np.nextafter(value, -math.inf))
+        assert dual_value(system, lam, mu, floor=value) is None  # its cone test never ran
 
     @pytest.mark.parametrize(
         "lam, mu, failure",
@@ -398,7 +403,7 @@ class TestDualValueFloor:
             with pytest.raises(NotDualFeasible, match=failure) as ref:
                 reference_dual_value(r, lam, mu)
             with pytest.raises(NotDualFeasible) as got:
-                ShiftedSystem(r).value(lam, mu, floor=math.inf)
+                dual_value(ShiftedSystem(r), lam, mu, floor=math.inf)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize(
@@ -414,7 +419,7 @@ class TestDualValueFloor:
         r, _ = identity_fixture
         lam, mu = np.array([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0]), np.zeros(9)
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = ShiftedSystem(r).value(lam, mu, floor=floor)
+            ev = dual_value(ShiftedSystem(r), lam, mu, floor=floor)
             ref = reference_dual_value(r, lam, mu)
         assert_same_evaluation(ev, ref)
         assert np.isfinite(ev.Y).all()
@@ -507,7 +512,7 @@ class TestDualAscent:
                 return fn(*args, **kwargs)
             return wrapper
 
-        value = system.value
+        value = dual.dual_value
 
         def classified_value(*args, **kwargs):
             try:
@@ -519,8 +524,8 @@ class TestDualAscent:
             return ev
 
         monkeypatch.setattr(system, "_cone_failure", counted("cone", system._cone_failure))
-        monkeypatch.setattr(system, "value", counted("value", classified_value))
-        monkeypatch.setattr(system, "feasible", counted("deferred", system.feasible))
+        monkeypatch.setattr(dual, "dual_value", counted("value", classified_value))
+        monkeypatch.setattr(dual, "dual_feasible", counted("deferred", dual.dual_feasible))
         res = dual_ascent(r)
         accepted = len(res.trajectory) - 1
         # every call is the start, an accepted step, a rejection or a skip
@@ -540,7 +545,7 @@ class TestDualAscent:
 
     def test_rejects_infeasible_start(self, reduced, monkeypatch):
         start = np.zeros(5), np.zeros(9)
-        lo = dual_feasible(reduced, *start)[1]
+        lo = dual_feasible(ShiftedSystem(reduced), *start)[1]
         monkeypatch.setattr(dual, "default_start", lambda r: start)
         with pytest.raises(TspdualError) as exc:
             dual_ascent(reduced)
@@ -562,7 +567,7 @@ class TestDualAscent:
     )
     def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure, cone_tests):
         r = scaled_reduced(n, seed, scale)
-        lo = dual_feasible(r, *default_start(r))[1]
+        lo = dual_feasible(ShiftedSystem(r), *default_start(r))[1]
         with pytest.raises(TspdualError) as exc:
             dual_ascent(r)
         assert type(exc.value) is TspdualError
@@ -579,7 +584,7 @@ class TestDualAscent:
         for seed in range(5):
             d, _ = random_euclidean_instance(4, seed)
             r = reduce_formulation(build_formulation(d))
-            ok, _ = dual_feasible(r, *default_start(r))
+            ok, _ = dual_feasible(ShiftedSystem(r), *default_start(r))
             assert ok
 
 
@@ -595,10 +600,10 @@ class TestConeCertificate:
             # the instance scaled, then its own start: the start's + 1 is
             # lost to rounding at large k
             r = scaled_reduced(n, 0, scale)
-            dual_feasible(r, *default_start(r))
+            dual_feasible(ShiftedSystem(r), *default_start(r))
             # the start scaled with its instance: W scales exactly
             mu = scale * default_start(euclidean_reduced(n, 0))[1]
-            dual_feasible(r, np.zeros(r.n_multipliers), mu)
+            dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu)
         assert_certificate_sound(cone_tests)
         exact = [attempted for *_, attempted in cone_tests[1::2]]
         assert exact == [k in (-540, 500)] * 7
@@ -610,7 +615,7 @@ class TestConeCertificate:
         mu = mu - np.linalg.eigvalsh(r.A_r + np.diag(mu))[0]  # lambda_min about 0
         for delta in (0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9):
             for shift in (delta, -delta):
-                dual_feasible(r, np.zeros(r.n_multipliers), mu + shift)
+                dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu + shift)
         assert_certificate_sound(cone_tests)
         # some point that the slack sends to Cholesky has lo above
         # theta * max diag(W), so the slack decides there
@@ -641,7 +646,8 @@ class TestVerifyGlobal:
         r, ybar = identity_fixture
         target_value = reduced_objective(r, ybar)
         oracle = OracleResult(best_tour=Tour((1, 2, 3, 4)), best_length=target_value)
-        verdict = verify_global(r, dual_value(r, np.zeros(5), np.zeros(9)), oracle)
+        ev = dual_value(ShiftedSystem(r), np.zeros(5), np.zeros(9))
+        verdict = verify_global(r, ev, oracle)
         assert verdict is Verdict.ConfirmsTheorem2
 
     def test_ascent_output_does_not_confirm(self, reduced, unit_square):

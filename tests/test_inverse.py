@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tspdual import dual, inverse
+from tspdual import inverse
 from tspdual.cli import main
-from tspdual.dual import dual_feasible
+from tspdual.dual import ShiftedSystem, dual_feasible
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -19,6 +19,7 @@ from tspdual.instance import (
     Tour,
     canonical_tours,
     random_euclidean_instance,
+    tour_length,
     validate_distance_matrix,
 )
 from tspdual.inverse import (
@@ -84,7 +85,7 @@ class TestEliminateMu:
             assert len(eigensolves) == before + 1
             assert breakdown.stationarity_residual == residual
             assert breakdown.min_eig == eigvalsh(A)[0]
-            assert breakdown.in_cone == dual_feasible(r, lam, mu)[0]
+            assert breakdown.in_cone == dual_feasible(ShiftedSystem(r), lam, mu)[0]
 
 
 def reversal(n):
@@ -127,6 +128,58 @@ class TestReversalIdentity:
         mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)  # six decades
         value, M = reversal_form(mat + mat.T, rng.normal(scale=100.0, size=2 * n - 3))
         assert abs(value) <= 1e-14 * np.abs(M).sum()
+
+
+def two_opt(n):
+    """t': the identity tour with cities 4..n-2 reversed, the 2-opt move
+    that swaps edges (3, 4) and (n-2, n-1) for (3, n-2) and (4, n-1)."""
+    return Tour((1, 2, 3, *range(n - 2, 3, -1), n - 1, n))
+
+
+def two_opt_rows(n):
+    """The rows (2, 4) and (n, n-2) of z and M z, indexed (position, city)
+    over 2..n, position-major."""
+    def row(position, city):
+        return (position - 2) * (n - 1) + city - 2
+
+    return row(2, 4), row(n, n - 2)
+
+
+class TestTwoOptIdentity:
+    """For n >= 7, every symmetric d and every lambda (mu from
+    eliminate_mu), (M z)_(2,4) + (M z)_(n,n-2) = L(t') - L(identity), with
+    z the reversal above.  z is zero at both rows, so mu does not enter
+    them.  A finite dual point that closes the gap has M z = 0 (z^T M z =
+    0 and M >= 0), so t' would tie the optimum."""
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_exact_on_every_basis_point(self, n):
+        # each d pair with lambda = 0 and with each unit lambda: 252, 392,
+        # 576 and 810 points; both sides are small integers, so == holds
+        z, rows = reversal(n), list(two_opt_rows(n))
+        assert not z[rows].any()
+        identity = Tour(tuple(range(1, n + 1)))
+        lams = [np.zeros(2 * n - 3), *np.eye(2 * n - 3)]
+        for i, j in itertools.combinations(range(n), 2):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            d = DistanceMatrix(n, basis)
+            r = reduce_formulation(build_formulation(d))
+            gap = tour_length(d, two_opt(n)) - tour_length(d, identity)
+            for k, lam in enumerate(lams):
+                Mz = (r.A_r + np.diag(eliminate_mu(r, lam))) @ z
+                assert Mz[rows[0]] + Mz[rows[1]] == gap, (i, j, k)
+
+    def test_n4_witness(self):
+        # below n = 7 a unique optimum does not rule out M z = 0: this
+        # metric d and lambda give M z == 0 with both margins 1
+        d = validate_distance_matrix(
+            [[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]], metric=True
+        )
+        r = reduce_formulation(build_formulation(d))
+        M = r.A_r + np.diag(eliminate_mu(r, np.array([-2.0, 0.0, -2.0, 0.0, 0.0])))
+        assert np.array_equal(M @ reversal(4), np.zeros(9))
+        assert np.array_equal(optimality_margins(d), [1.0, 1.0])
 
 
 class TestOptimalityMargins:
@@ -667,7 +720,7 @@ class TestVerdictBranch:
     def test_verdict_follows_the_replay(self, monkeypatch, replay):
         calls = {"build": 0, "cone": 0}
         build, cone, score = (
-            inverse.build_formulation, dual.ShiftedSystem.feasible, inverse.feasibility_score
+            inverse.build_formulation, inverse.dual_feasible, inverse.feasibility_score
         )
 
         def counting_build(d):
@@ -692,7 +745,7 @@ class TestVerdictBranch:
             )
 
         monkeypatch.setattr(inverse, "build_formulation", counting_build)
-        monkeypatch.setattr(dual.ShiftedSystem, "feasible", counting_cone)
+        monkeypatch.setattr(inverse, "dual_feasible", counting_cone)
         monkeypatch.setattr(inverse, "feasibility_score", passing_score)
         rep = inverse_search(cfg=SearchConfig(n=5, restarts=2, local_iters=30, seed=3))
         expected = {
