@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotDualFeasible, TspdualError
-from .instance import OracleResult
 from .reduction import ReducedProblem, reduced_objective
 
 PD_TOLERANCE = 1e-10
@@ -242,14 +241,10 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
     step = INITIAL_STEP
     stall = 0
-    termination = Termination.IterationCap
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
+    for done in range(MAX_ITER):  # iterations completed so far
         if ev.grad_norm < GTOL:
-            termination = Termination.GradientSmall
-            iterations -= 1
+            termination, iterations = Termination.GradientSmall, done
             break
-        accepted = False
         left_cone = False
         unimproving = []  # trial points skipped before the cone test
         t = step
@@ -259,34 +254,30 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
                 cand = dual_value(system, cand_lam, cand_mu, floor=ev.value)
             except NotDualFeasible:
                 left_cone = True
-                t *= 0.5
-                continue
-            if cand is None:
-                unimproving.append((cand_lam, cand_mu))
-            elif cand.value > ev.value:
-                ev = cand
-                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
-                accepted = True
-                step = 2.0 * t  # cautious growth for the next iteration
-                break
+            else:
+                if cand is None:
+                    unimproving.append((cand_lam, cand_mu))
+                elif cand.value > ev.value:
+                    break
             t *= 0.5
-        if not accepted:
+        else:
             # no step improved: the ascent left the cone if a trial point
             # failed the cone test, skipped ones included, else it stalled
             left_cone = left_cone or any(
                 not dual_feasible(system, *c)[0] for c in unimproving
             )
-            termination = (
-                Termination.LeftCone if left_cone else Termination.Stalled
-            )
+            termination = Termination.LeftCone if left_cone else Termination.Stalled
+            iterations = done + 1
             break
-        if trajectory[-1][0] - trajectory[-2][0] < FTOL:
-            stall += 1
-            if stall >= STALL_ITERS:
-                termination = Termination.Stalled
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if cand.value - ev.value < FTOL else 0
+        ev = cand
+        trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
+        step = 2.0 * t  # cautious growth for the next iteration
+        if stall >= STALL_ITERS:
+            termination, iterations = Termination.Stalled, done + 1
+            break
+    else:
+        termination, iterations = Termination.IterationCap, MAX_ITER
     return AscentResult(
         best=ev,
         iterations=iterations,
@@ -298,10 +289,10 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
 def verify_global(
     r: ReducedProblem,
     ev: DualEvaluation,
-    oracle: OracleResult,
+    optimum: float,
 ) -> Verdict:
     """Checks whether an evaluated dual point, which is in the cone by
-    construction, certifies the oracle optimum: criticality, binary
+    construction, certifies the optimum tour length: criticality, binary
     feasible recovery, and objective match, in that order.  A
     ConfirmsTheorem2 verdict would be a strong positive finding and is
     expected never to occur.
@@ -313,6 +304,6 @@ def verify_global(
     y_bin = np.round(ev.Y)
     if np.max(np.abs(r.E_r @ y_bin - 1.0)) > BINARY_TOLERANCE:
         return Verdict.RecoveredYNotFeasible
-    if abs(reduced_objective(r, y_bin) + r.c0 - oracle.best_length) > OBJECTIVE_TOLERANCE:
+    if abs(reduced_objective(r, y_bin) + r.c0 - optimum) > OBJECTIVE_TOLERANCE:
         return Verdict.ObjectiveMismatch
     return Verdict.ConfirmsTheorem2

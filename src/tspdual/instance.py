@@ -193,15 +193,12 @@ def points_to_distance_matrix(points: np.ndarray) -> DistanceMatrix:
 
 
 def read_json(path):
-    """Parsed contents of a JSON file.  Bytes that are not UTF-8 raise
-    UnicodeDecodeError, malformed text json.JSONDecodeError, and JSON that
-    Python cannot hold (an integer past the 4300-digit conversion limit,
-    nesting past the recursion limit) TspdualError."""
-    text = Path(path).read_text()
+    """Parsed contents of a JSON file.  A file that cannot be opened raises
+    OSError; bytes that are not UTF-8, malformed text and JSON that Python
+    cannot hold (an integer past the 4300-digit conversion limit, nesting
+    past the recursion limit) raise TspdualError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
+        return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:
         raise TspdualError(str(exc)) from None
 

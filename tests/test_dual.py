@@ -21,7 +21,6 @@ from tspdual.errors import NotDualFeasible, TspdualError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
     DistanceMatrix,
-    OracleResult,
     Tour,
     brute_force_optimum,
     random_euclidean_instance,
@@ -490,8 +489,8 @@ class TestDualAscent:
         ref = reference_dual_value(r, *best)
         assert_same_evaluation(res.best, ref)
         assert res.best.value == trajectory[-1][0]
-        oracle = brute_force_optimum(random_euclidean_instance(n, seed)[0])
-        assert verify_global(r, res.best, oracle) is verify_global(r, ref, oracle)
+        optimum = brute_force_optimum(random_euclidean_instance(n, seed)[0]).best_length
+        assert verify_global(r, res.best, optimum) is verify_global(r, ref, optimum)
         assert res.iterations == iterations
         assert res.termination is termination
         assert termination is (
@@ -574,11 +573,24 @@ class TestDualAscent:
         assert str(exc.value) == "start is not dual feasible: " + failure.format(lo)
         assert_certificate_sound(cone_tests)
 
-    def test_iteration_cap(self, reduced, monkeypatch):
-        monkeypatch.setattr(dual, "MAX_ITER", 3)
-        res = dual_ascent(reduced)
-        assert res.iterations == 3
-        assert res.termination is Termination.IterationCap
+    # the exits that no seeded ascent reaches, each forced by one setting:
+    # (setting, value, termination, iterations); the trajectory holds the
+    # start and one point per counted iteration
+    @pytest.mark.parametrize(
+        "name, value, termination, iterations",
+        [
+            ("MAX_ITER", 3, Termination.IterationCap, 3),
+            ("GTOL", math.inf, Termination.GradientSmall, 0),
+            ("FTOL", math.inf, Termination.Stalled, dual.STALL_ITERS),
+        ],
+        ids=["IterationCap", "GradientSmall", "Stalled"],
+    )
+    def test_forced_exit(self, name, value, termination, iterations, monkeypatch):
+        monkeypatch.setattr(dual, name, value)
+        res = dual_ascent(euclidean_reduced(5, 1))
+        assert res.termination is termination
+        assert res.iterations == iterations
+        assert len(res.trajectory) == iterations + 1
 
     def test_default_start_feasible(self):
         for seed in range(5):
@@ -645,17 +657,16 @@ class TestVerifyGlobal:
     def test_identity_fixture_confirms(self, identity_fixture):
         r, ybar = identity_fixture
         target_value = reduced_objective(r, ybar)
-        oracle = OracleResult(best_tour=Tour((1, 2, 3, 4)), best_length=target_value)
         ev = dual_value(ShiftedSystem(r), np.zeros(5), np.zeros(9))
-        verdict = verify_global(r, ev, oracle)
+        verdict = verify_global(r, ev, target_value)
         assert verdict is Verdict.ConfirmsTheorem2
 
     def test_ascent_output_does_not_confirm(self, reduced, unit_square):
         # the expected negative outcome: the dual supremum sits on the cone
         # boundary with a non-binary recovered Y, so no certificate appears
-        oracle = brute_force_optimum(unit_square)
+        optimum = brute_force_optimum(unit_square).best_length
         res = dual_ascent(reduced)
-        verdict = verify_global(reduced, res.best, oracle)
+        verdict = verify_global(reduced, res.best, optimum)
         assert verdict in (
             Verdict.NotCriticalPoint,
             Verdict.RecoveredYNotBinary,

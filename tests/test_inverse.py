@@ -145,6 +145,12 @@ def two_opt_rows(n):
     return row(2, 4), row(n, n - 2)
 
 
+def two_opt_sum(r, mu):
+    """S = (M z)_(2,4) + (M z)_(n,n-2), with M = A_r + diag(mu)."""
+    Mz = (r.A_r + np.diag(mu)) @ reversal(r.n)
+    return sum(Mz[row] for row in two_opt_rows(r.n))
+
+
 class TestTwoOptIdentity:
     """For n >= 7, every symmetric d and every lambda (mu from
     eliminate_mu), (M z)_(2,4) + (M z)_(n,n-2) = L(t') - L(identity), with
@@ -180,6 +186,64 @@ class TestTwoOptIdentity:
         M = r.A_r + np.diag(eliminate_mu(r, np.array([-2.0, 0.0, -2.0, 0.0, 0.0])))
         assert np.array_equal(M @ reversal(4), np.zeros(9))
         assert np.array_equal(optimality_margins(d), [1.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(7, 10), st.integers(0, 2**32 - 1))
+    def test_rounds_on_random_points(self, n, seed):
+        # mu is eliminate_mu's plus an arbitrary finite part: z is zero at
+        # both rows, so mu is multiplied by 0 there and never enters
+        rng = np.random.default_rng(seed)
+        mat = np.triu(10.0 ** rng.uniform(-3, 3, (n, n)), 1)  # six decades
+        d = DistanceMatrix(n, mat + mat.T)
+        r = reduce_formulation(build_formulation(d))
+        lam = rng.normal(scale=100.0, size=2 * n - 3)
+        free = rng.choice([-1.0, 1.0], r.dim) * 10.0 ** rng.uniform(-3, 12, r.dim)
+        gap = tour_length(d, two_opt(n)) - tour_length(d, Tour(tuple(range(1, n + 1))))
+        assert abs(two_opt_sum(r, eliminate_mu(r, lam) + free) - gap) <= (
+            1e-14 * np.abs(d.entries).sum()
+        )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_below_seven_on_every_basis_point(self, n):
+        # t' is the identity tour.  At n = 6 the sum is 0; at n = 5 position
+        # 3 is the neighbour of both position 2 and position n, and the sum
+        # is -2 d_34
+        assert two_opt(n).order == tuple(range(1, n + 1))
+        lams = [np.zeros(2 * n - 3), *np.eye(2 * n - 3)]
+        for i, j in itertools.combinations(range(n), 2):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            r = reduce_formulation(build_formulation(DistanceMatrix(n, basis)))
+            expected = -2.0 * basis[2, 3] if n == 5 else 0.0
+            for k, lam in enumerate(lams):
+                assert two_opt_sum(r, eliminate_mu(r, lam)) == expected, (i, j, k)
+
+    @pytest.mark.parametrize(
+        "pairs, lam, margins",
+        [
+            ([(2, 4), (2, 5), (3, 5)], [-0.5, -0.5, -0.5, -0.5, 0, 0, 0], 11),
+            (
+                [(1, 3), (1, 4), (1, 5), (2, 4), (3, 6), (4, 6)],
+                [-0.5, 0, 0, 0, -0.5, 0.5, -0.5, 0, 0],
+                59,
+            ),
+        ],
+        ids=["n5", "n6"],
+    )
+    def test_n5_n6_witnesses(self, pairs, lam, margins):
+        # 0/1 distances on the listed city pairs: M z == 0 exactly while
+        # every other tour is longer by at least 1, so n >= 7 is sharp.
+        # The n = 5 witness has d_34 = 0, as the n = 5 sum requires
+        n = (len(lam) + 3) // 2
+        entries = np.zeros((n, n))
+        for i, j in pairs:
+            entries[i - 1, j - 1] = entries[j - 1, i - 1] = 1.0
+        d = validate_distance_matrix(entries)
+        r = reduce_formulation(build_formulation(d))
+        M = r.A_r + np.diag(eliminate_mu(r, np.array(lam, dtype=float)))
+        assert np.array_equal(M @ reversal(n), np.zeros(r.dim))
+        gaps = optimality_margins(d)
+        assert gaps.shape == (margins,) and gaps.min() >= 1.0
 
 
 class TestOptimalityMargins:
