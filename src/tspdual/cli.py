@@ -25,7 +25,7 @@ import numpy as np
 from . import dual as dual_mod
 from . import inverse as inverse_mod
 from .errors import ConfigError, TspdualError, check_range
-from .formulation import build_formulation, encode_tour, objective
+from .formulation import assignment_constraints, build_formulation, encode_tour, objective
 from .instance import (
     MIN_CITIES,
     ORACLE_MAX_CITIES,
@@ -36,7 +36,7 @@ from .instance import (
     read_json,
     require_oracle_size,
 )
-from .reduction import linear_maps, reduce_formulation, reduced_to_dict
+from .reduction import linear_maps, reduce_formulation
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -156,7 +156,8 @@ def cmd_formulate(d: DistanceMatrix, config: dict) -> Result:
         "oracle_tour_objective": objective(f, encode_tour(oracle.best_tour)),
         "config": config,
     }
-    matrices = {"A.csv": f.A, "C.csv": f.C, "D.csv": f.D}
+    C, D = assignment_constraints(d.n)
+    matrices = {"A.csv": f.A, "C.csv": C, "D.csv": D}
     files = {name: _csv_matrix(mat) for name, mat in matrices.items()}
     return {**files, "summary.json": _json(summary)}, None
 
@@ -172,7 +173,13 @@ def _paper_structure_match(d: DistanceMatrix, r) -> bool:
 
 def cmd_reduce(d: DistanceMatrix, config: dict) -> Result:
     r = reduce_formulation(build_formulation(d))
-    payload = reduced_to_dict(r)
+    payload = {
+        "n": r.n,
+        "A_r": r.A_r.tolist(),
+        "b_r": r.b_r.tolist(),
+        "E_r": r.E_r.tolist(),
+        "c0": r.c0,
+    }
     if d.n == 4:
         payload["paper_match"] = _paper_structure_match(d, r)
     payload["instance"] = config["instance_id"]
@@ -220,8 +227,24 @@ def cmd_dual(d: DistanceMatrix, config: dict) -> Result:
 
 def cmd_inverse(cfg: inverse_mod.SearchConfig) -> Result:
     report = inverse_mod.inverse_search(cfg=cfg)
-    doc = report.to_dict()
-    doc["config"] = asdict(cfg)
+    replay = report.replay
+    doc = {
+        "best": {
+            "d": report.d.entries.ravel().tolist(),
+            "lambda": report.lam.tolist(),
+            "mu": replay.mu.tolist(),
+        },
+        "best_min_eig": replay.min_eig,
+        "best_score": report.best_score,
+        "stationarity_residual": replay.stationarity_residual,
+        "optimality_margins": replay.margins.tolist(),
+        "edm_violations": replay.edm_violations,
+        "restarts": report.cfg.restarts,
+        "best_restart": report.best_restart,
+        "verdict": report.verdict.value,
+        "seed": report.cfg.seed,
+        "config": asdict(report.cfg),
+    }
     found = report.verdict is inverse_mod.SearchVerdict.FeasibleCounterexample
     return {"report.json": _json(doc)}, (
         "feasible (d, lambda, mu) found; see report.json" if found else None

@@ -26,7 +26,7 @@ def check_range(key: str, value, ok: bool, rule: str) -> None:
 
 
 class InstanceError(TspdualError):
-    """Invalid distance matrix, tour or instance file, or too many cities."""
+    """Invalid distance matrix or instance file, or too many cities."""
 
 
 class NotDualFeasible(TspdualError):

@@ -16,18 +16,14 @@ from .instance import DistanceMatrix, Tour
 
 @dataclass(frozen=True)
 class QpFormulation:
-    """Objective matrix A (n^2 x n^2) and assignment constraints
-    C X = 1 (one city per position), D X = 1 (one position per city).
-    """
+    """Objective matrix A (n^2 x n^2); the assignment constraints are
+    assignment_constraints(n)."""
 
     n: int
     A: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.A, self.C, self.D):
-            arr.flags.writeable = False
+        self.A.flags.writeable = False
 
 
 def assignment_constraints(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,8 +41,7 @@ def build_formulation(d: DistanceMatrix) -> QpFormulation:
     shift = np.roll(np.eye(n), 1, axis=1)
     # kron gives 0 * -0.0 = -0.0 off the blocks; + 0.0 makes it +0.0
     A = np.kron(shift + shift.T, d.entries) + 0.0
-    C, D = assignment_constraints(n)
-    return QpFormulation(n=n, A=A, C=C, D=D)
+    return QpFormulation(n=n, A=A)
 
 
 def encode_tour(t: Tour) -> np.ndarray:

@@ -43,7 +43,7 @@ class Tour:
     def __post_init__(self):
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
-            raise InstanceError(f"tour {self.order} is not a permutation of 1..{n}")
+            raise ValueError(f"tour {self.order} is not a permutation of 1..{n}")
 
     @property
     def n(self) -> int:

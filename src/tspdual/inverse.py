@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -73,40 +73,9 @@ class SearchConfig:
         check_range("seed", self.seed, self.seed >= 0, ">= 0")
 
 
-@dataclass(frozen=True)
-class InverseCandidate:
-    d: DistanceMatrix
-    lam: np.ndarray
-    mu: np.ndarray
-
-
 class SearchVerdict(Enum):
     NoFeasiblePointFound = "NoFeasiblePointFound"
     FeasibleCounterexample = "FeasibleCounterexample"
-
-
-@dataclass(frozen=True)
-class InverseSearchReport:
-    best: InverseCandidate
-    best_min_eig: float
-    best_score: float
-    stationarity_residual: float
-    optimality_margins: list[float]
-    edm_violations: float
-    restarts: int
-    best_restart: int
-    verdict: SearchVerdict
-    seed: int
-
-    def to_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["verdict"] = self.verdict.value
-        payload["best"] = {
-            "d": [float(v) for v in self.best.d.entries.ravel()],
-            "lambda": [float(v) for v in self.best.lam],
-            "mu": [float(v) for v in self.best.mu],
-        }
-        return payload
 
 
 def eliminate_mu(r: ReducedProblem, lam: np.ndarray) -> np.ndarray:
@@ -162,6 +131,21 @@ class ScoreBreakdown:
     margins: np.ndarray
     edm_violations: float
     stationarity_residual: float
+
+
+@dataclass(frozen=True)
+class InverseSearchReport:
+    """The search's result: the winner (d, lam) of restart best_restart,
+    its fast-path score, and `replay`, its score replayed through the full
+    chain, on which the verdict rests."""
+
+    cfg: SearchConfig
+    d: DistanceMatrix
+    lam: np.ndarray
+    replay: ScoreBreakdown
+    best_score: float
+    best_restart: int
+    verdict: SearchVerdict
 
 
 def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
@@ -240,7 +224,6 @@ class _FastEvaluator:
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.dim = (n - 1) ** 2
         # A_r entries are picked from d, or from a zero column appended at n^2
         self.a_index, self.mu_d, self.mu_lam = linear_maps(n)
@@ -420,36 +403,31 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
         for k in range(0, cfg.restarts, chunk)
     )))
     best_k = int(np.argmax(scores))  # ties to the lowest restart index
-    best_score = float(scores[best_k])
 
     # replay the winner through the full chain
     lam = thetas[best_k, 2 * n:]
     d = DistanceMatrix(n, _points_dvec(n, thetas[best_k, :2 * n]).reshape(n, n))
-    breakdown = feasibility_score(d, lam)
-    mu, residual = breakdown.mu, breakdown.stationarity_residual
+    replay = feasibility_score(d, lam)
 
     verdict = SearchVerdict.NoFeasiblePointFound
     if (
-        breakdown.min_eig > STRICTNESS_MARGIN
-        and np.all(breakdown.margins > STRICTNESS_MARGIN)
-        and breakdown.edm_violations == 0.0
-        and residual <= STATIONARITY_TOL
+        replay.min_eig > STRICTNESS_MARGIN
+        and np.all(replay.margins > STRICTNESS_MARGIN)
+        and replay.edm_violations == 0.0
+        and replay.stationarity_residual <= STATIONARITY_TOL
     ):
         # the checks the score does not make: the exact triangle inequality,
         # and the replay's cone test (finiteness, Cholesky, PD_TOLERANCE)
         validate_distance_matrix(d.entries, metric=True)
-        if breakdown.in_cone:
+        if replay.in_cone:
             verdict = SearchVerdict.FeasibleCounterexample
 
     return InverseSearchReport(
-        best=InverseCandidate(d=d, lam=lam, mu=mu),
-        best_min_eig=breakdown.min_eig,
-        best_score=best_score,
-        stationarity_residual=residual,
-        optimality_margins=[float(v) for v in breakdown.margins],
-        edm_violations=breakdown.edm_violations,
-        restarts=cfg.restarts,
+        cfg=cfg,
+        d=d,
+        lam=lam,
+        replay=replay,
+        best_score=float(scores[best_k]),
         best_restart=best_k,
         verdict=verdict,
-        seed=cfg.seed,
     )

@@ -112,12 +112,3 @@ def reduced_objective(r: ReducedProblem, y) -> float:
         raise ValueError(f"expected length {r.dim}, got shape {y.shape}")
     return 0.5 * float(y @ r.A_r @ y) - float(r.b_r @ y)
 
-
-def reduced_to_dict(r: ReducedProblem) -> dict:
-    return {
-        "n": r.n,
-        "A_r": [[float(v) for v in row] for row in r.A_r],
-        "b_r": [float(v) for v in r.b_r],
-        "E_r": [[float(v) for v in row] for row in r.E_r],
-        "c0": float(r.c0),
-    }

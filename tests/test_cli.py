@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tspdual import cli
 from tspdual import instance as instance_mod
 from tspdual.cli import main
+from tspdual.formulation import build_formulation
 from tspdual.inverse import SearchConfig, SearchVerdict
 from tspdual.instance import DistanceMatrix, random_euclidean_instance, save_instance
 from tspdual.reduction import reduce_formulation
@@ -107,6 +108,21 @@ class TestReduce:
         assert len(payload["A_r"][0]) == 16
         assert len(payload["E_r"]) == 7
         assert "paper_match" not in payload
+
+    def test_reduced_json_round_trips(self, unit_square):
+        config = {"instance_id": "square", "seed": 0}
+        files, counterexample = cli.cmd_reduce(unit_square, config)
+        assert list(files) == ["reduced.json"] and counterexample is None
+        payload = json.loads(files["reduced.json"])
+        r = reduce_formulation(build_formulation(unit_square))
+        assert list(payload) == [
+            "n", "A_r", "b_r", "E_r", "c0", "paper_match", "instance", "config"
+        ]
+        assert payload["n"] == 4
+        assert payload["c0"] == r.c0 == 0.0
+        for key in ("A_r", "b_r", "E_r"):
+            assert np.array_equal(np.array(payload[key]), getattr(r, key))
+        assert payload["instance"] == "square" and payload["config"] == config
 
     def test_bad_instance_creates_no_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -294,6 +310,34 @@ class TestInverse:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["config"]["seed"] == 21
+
+    def test_report_renders_the_record(self):
+        cfg = SearchConfig(n=5, restarts=3, local_iters=100, seed=4)
+        files, counterexample = cli.cmd_inverse(cfg)
+        assert list(files) == ["report.json"] and counterexample is None
+        doc = json.loads(files["report.json"])
+        rep = cli.inverse_mod.inverse_search(cfg)
+        assert list(doc) == [
+            "best", "best_min_eig", "best_score", "stationarity_residual",
+            "optimality_margins", "edm_violations", "restarts", "best_restart",
+            "verdict", "seed", "config",
+        ]
+        assert list(doc["best"]) == ["d", "lambda", "mu"]
+        for got, want in (
+            (doc["best"]["d"], rep.d.entries.ravel()),
+            (doc["best"]["lambda"], rep.lam),
+            (doc["best"]["mu"], rep.replay.mu),
+            (doc["optimality_margins"], rep.replay.margins),
+        ):
+            assert np.array_equal(np.array(got), want)
+        assert doc["best_min_eig"] == rep.replay.min_eig
+        assert doc["best_score"] == rep.best_score
+        assert doc["stationarity_residual"] == rep.replay.stationarity_residual
+        assert doc["edm_violations"] == rep.replay.edm_violations
+        assert doc["restarts"] == 3 and doc["seed"] == 4
+        assert doc["best_restart"] == rep.best_restart
+        assert doc["verdict"] == rep.verdict.value == "NoFeasiblePointFound"
+        assert doc["config"] == {"n": 5, "restarts": 3, "local_iters": 100, "seed": 4}
 
     def test_counterexample_exits_10(self, tmp_path, monkeypatch, capsys):
         search = cli.inverse_mod.inverse_search
@@ -524,6 +568,10 @@ def test_program_error_is_not_an_input_error(tmp_path, monkeypatch):
     with pytest.raises(ValueError) as exc:
         main(["dual", "--n", "4", "--out", str(tmp_path / "d")])
     assert str(exc.value) == "expected lambda length 5 and mu length 9, got (5,) and (10,)"
+    # a tour that is not a permutation, built inside a command
+    monkeypatch.setattr(cli, "brute_force_optimum", lambda d: instance_mod.Tour((1, 1, 2, 3)))
+    with pytest.raises(ValueError, match="is not a permutation"):
+        main(["formulate", "--n", "4", "--out", str(tmp_path / "f")])
 
 
 # (id, file bytes): not UTF-8, an integer past Python's 4300-digit limit,

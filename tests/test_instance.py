@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspdual.errors import InstanceError
+from tspdual.errors import InstanceError, TspdualError
 from tspdual.instance import (
     Tour,
     brute_force_optimum,
@@ -165,6 +165,14 @@ class TestTourLength:
         with pytest.raises(ValueError) as exc:
             tour_length(unit_square, Tour((1, 2, 3)))
         assert str(exc.value) == "tour has 3 cities, matrix has 4"
+
+    @pytest.mark.parametrize("order", [(1, 1, 2), (1, 2, 4), (0, 1, 2)])
+    def test_non_permutation_is_a_contract_error(self, order):
+        # no tour is read from input, so a bad one is a defect, not bad input
+        with pytest.raises(ValueError) as exc:
+            Tour(order)
+        assert not isinstance(exc.value, TspdualError)
+        assert str(exc.value) == f"tour {order} is not a permutation of 1..3"
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(4, 7), st.integers(0, 6))

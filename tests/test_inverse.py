@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tspdual import inverse
-from tspdual.cli import main
+from tspdual.cli import cmd_inverse, main
 from tspdual.dual import ShiftedSystem, dual_feasible
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
@@ -678,9 +678,8 @@ class TestPairedProbes:
 class TestInverseSearch:
     def test_deterministic_under_seed(self):
         cfg = SearchConfig(restarts=4, local_iters=300, seed=123)
-        a = inverse_search(cfg=cfg)
-        b = inverse_search(cfg=cfg)
-        assert a.to_dict() == b.to_dict()
+        a, b = cmd_inverse(cfg)[0]["report.json"], cmd_inverse(cfg)[0]["report.json"]
+        assert a == b
 
     def test_monotone_local_refinement(self):
         # a one-restart chunk scores one start row, then per coordinate step
@@ -770,9 +769,9 @@ class TestInverseSearch:
     def test_small_search_stays_negative(self):
         rep = inverse_search(cfg=SearchConfig(restarts=10, local_iters=400, seed=5))
         assert rep.verdict is SearchVerdict.NoFeasiblePointFound
-        assert rep.best_min_eig <= 1e-8
-        assert rep.stationarity_residual <= 1e-10
-        assert rep.edm_violations == 0.0
+        assert rep.replay.min_eig <= 1e-8
+        assert rep.replay.stationarity_residual <= 1e-10
+        assert rep.replay.edm_violations == 0.0
 
 
 class TestVerdictBranch:

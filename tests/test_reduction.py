@@ -18,7 +18,6 @@ from tspdual.reduction import (
     linear_maps,
     reduce_formulation,
     reduced_objective,
-    reduced_to_dict,
 )
 
 
@@ -216,12 +215,3 @@ class TestReducedObjective:
                     full = objective(f, encode_tour(t))
                     red = reduced_objective(r, embed_tour(t)) + r.c0
                     assert red == pytest.approx(full, abs=1e-12)
-
-
-def test_reduced_to_dict_round_trips(unit_square):
-    r = reduce_formulation(build_formulation(unit_square))
-    payload = reduced_to_dict(r)
-    assert payload["n"] == 4
-    assert payload["c0"] == 0.0
-    assert np.array_equal(np.array(payload["A_r"]), r.A_r)
-    assert np.array_equal(np.array(payload["E_r"]), r.E_r)
