@@ -31,6 +31,8 @@ class DistanceMatrix:
 
     def d(self, i: int, j: int) -> float:
         """Distance between cities i and j (1-based)."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"cities ({i}, {j}) are not in 1..{self.n}")
         return float(self.entries[i - 1, j - 1])
 
 

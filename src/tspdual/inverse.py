@@ -227,6 +227,7 @@ class _FastEvaluator:
         self.dim = (n - 1) ** 2
         # A_r entries are picked from d, or from a zero column appended at n^2
         self.a_index, self.mu_d, self.mu_lam = linear_maps(n)
+        self.mu_cols = slice(n * n + 1, n * n + 1 + self.dim)  # mu's distance part in rows(D)
 
         tours = canonical_tours(n).astype(np.intp)
         self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()
@@ -243,20 +244,21 @@ class _FastEvaluator:
         lengths = np.take(D, self.edges, axis=1).sum(axis=1)
         return lengths[:, 1:] - lengths[:, :1]
 
-    def rows(self, D: np.ndarray) -> tuple:
-        """The record of a batch of distance rows: D with A_r's zero column
-        appended at index n^2, then per row the terms of its score that
-        lambda does not touch: mu's distance part D @ mu_d^T, the penalty
-        and max|d|."""
+    def rows(self, D: np.ndarray) -> np.ndarray:
+        """The record of a batch of distance rows, one row each: D with
+        A_r's zero column appended at index n^2, then the terms of its score
+        that lambda does not touch: mu's distance part D @ mu_d^T at
+        mu_cols, the penalty at column -2 and max|d| at column -1."""
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += _left_to_right(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]))
         t0, t1, t2 = self.tri
         violation += _left_to_right(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]))
-        padded = np.concatenate([D, np.zeros((len(D), 1))], axis=1)
-        return padded, D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
+        return np.column_stack([
+            D, np.zeros(len(D)), D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
+        ])
 
-    def evaluate(self, rows: tuple, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    def evaluate(self, rows: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Scores of a batch: `rows` is the record rows(D) of the flattened
         distance matrices D, and row r of L is the lambda of row r.  A row
         whose score cannot exceed floor[r] may score -inf without an
@@ -288,17 +290,16 @@ class _FastEvaluator:
         and every product of the factorization far from overflow, where
         Thm 10.7's model of the arithmetic holds.
         """
-        padded, mu_of_d, penalty, dmax = rows
-        mu = mu_of_d + L @ self.mu_lam.T
+        mu = rows[:, self.mu_cols] + L @ self.mu_lam.T
         mu_min, mu_max = mu.min(1), np.abs(mu).max(1)
-        slack = 1e-12 * (mu_max + self.dim * dmax)
-        solve = mu_min + slack - penalty > floor
+        slack = 1e-12 * (mu_max + self.dim * rows[:, -1])
+        solve = mu_min + slack - rows[:, -2] > floor
 
         scores = np.full(len(L), -np.inf)
-        mu, mu_min, mu_max, dmax, slack, penalty, floor = (
-            a[solve] for a in (mu, mu_min, mu_max, dmax, slack, penalty, floor)
-        )
-        M = padded[solve][:, self.a_index]
+        rows = rows[solve]
+        mu, mu_min, mu_max, slack, floor = (a[solve] for a in (mu, mu_min, mu_max, slack, floor))
+        penalty, dmax = rows[:, -2], rows[:, -1]
+        M = rows[:, self.a_index]
         diag = M.reshape(len(M), self.dim**2)[:, :: self.dim + 1]  # a view, zero so far
 
         magnitude = mu_max + self.dim * dmax + np.abs(floor) + penalty
@@ -350,8 +351,9 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks):
     n2 = 2 * cfg.n  # theta holds 2n point coordinates, then lambda
     theta, scales = map(np.array, zip(*(_start(cfg, k) for k in ks)))
     R, n_coords = theta.shape
-    rows = ev.rows(_points_dvec(cfg.n, theta[:, :n2]))  # of each restart's theta
-    best = ev.evaluate(rows, theta[:, n2:], np.full(R, -np.inf))
+    # a restart's state row: its theta, then the record rows(D) of its distances
+    state = np.column_stack([theta, ev.rows(_points_dvec(cfg.n, theta[:, :n2]))])
+    best = ev.evaluate(state[:, n_coords:], theta[:, n2:], np.full(R, -np.inf))
     left = np.full(R, cfg.local_iters - 1)  # evaluations left after the start
     step = np.ones(R)
     improved = np.zeros(R, dtype=bool)
@@ -360,31 +362,26 @@ def _search_chunk(ev: _FastEvaluator, cfg: SearchConfig, ks):
         if not live.size:
             break
         m, delta = live.size, step[live] * scales[live, c]
-        cand = np.concatenate([theta[live], theta[live]])  # +step rows, then -step rows
+        cand = state[np.concatenate([live, live])]  # +step rows, then -step rows
         cand[:m, c] += delta
         cand[m:, c] -= delta
-        if c < n2:  # a point moves
-            cand_rows = ev.rows(_points_dvec(cfg.n, cand[:, :n2]))
-        else:  # a lambda step leaves the distances as they are
-            both = np.concatenate([live, live])
-            cand_rows = tuple(a[both] for a in rows)
+        if c < n2:  # a point moves; a lambda step leaves the distances as they are
+            cand[:, n_coords:] = ev.rows(_points_dvec(cfg.n, cand[:, :n2]))
         # a -step with no budget left has floor +inf, so it is never solved
         floor = np.concatenate([best[live], np.where(left[live] > 1, best[live], np.inf)])
-        s = ev.evaluate(cand_rows, cand[:, n2:], floor)
+        s = ev.evaluate(cand[:, n_coords:], cand[:, n2:n_coords], floor)
         take_plus = s[:m] > best[live]
         pick = np.where(take_plus, np.arange(m), np.arange(m, 2 * m))  # the row tried last
         s = s[pick]
         acc = s > best[live]
         won, pick = live[acc], pick[acc]
-        theta[won], best[won] = cand[pick], s[acc]
-        for a, b in zip(rows, cand_rows):
-            a[won] = b[pick]
+        state[won], best[won] = cand[pick], s[acc]
         improved[won] = True
         left[live] -= np.where(take_plus, 1, 2)
         if c == n_coords - 1:  # end of a sweep
             step[~improved] *= 0.5
             improved[:] = False
-    return best, theta
+    return best, state[:, :n_coords]
 
 
 def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:

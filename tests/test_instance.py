@@ -30,6 +30,14 @@ class TestValidation:
         assert unit_square.d(1, 2) == 1.0
         assert unit_square.d(1, 3) == SQRT2
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (5, 1), (1, 5), (-1, 2)])
+    def test_distance_rejects_cities_outside_1_to_n(self, unit_square, i, j):
+        # index 0 would read city n's row, and n + 1 would raise a bare IndexError
+        with pytest.raises(ValueError) as exc:
+            unit_square.d(i, j)
+        assert str(exc.value) == f"cities ({i}, {j}) are not in 1..4"
+        assert unit_square.d(4, 1) == 1.0
+
     def test_negative_distance(self):
         mat = np.zeros((3, 3))
         mat[0, 1] = mat[1, 0] = -1.0

@@ -400,12 +400,12 @@ class TestFeasibilityScore:
         ev = evaluator(n)
         rows = ev.rows(D)
         # the record starts with D padded by A_r's zero column at index n^2
-        assert np.array_equal(rows[0], np.column_stack([D, np.zeros(6)]))
+        assert np.array_equal(rows[:, :n * n + 1], np.column_stack([D, np.zeros(6)]))
         scores = ev.evaluate(rows, L, np.full(6, -np.inf))
         for r in range(6):
             alone = ev.rows(D[r:r + 1])
-            assert len(alone) == len(rows) == 4
-            assert all(np.array_equal(a[r], b[0]) for a, b in zip(rows, alone))
+            assert alone.shape == (1, rows.shape[1])
+            assert alone[0].tobytes() == rows[r].tobytes()
             assert ev.evaluate(alone, L[r:r + 1], np.full(1, -np.inf))[0] == scores[r]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
@@ -506,7 +506,7 @@ class TestBoundPruning:
         # every floor in one batch, rows never mix; the record is gathered,
         # as the search does for lambda steps
         of = np.tile(np.arange(len(D)), len(floors))
-        args = tuple(a[of] for a in record), L[of], np.concatenate(list(floors.values()))
+        args = record[of], L[of], np.concatenate(list(floors.values()))
         got, bound_only = ev.evaluate(*args), unscreened(ev, *args)
         # the rows the screen prunes, apart from the min-mu bound's
         screened_out = (got == -np.inf) & (bound_only > -np.inf)
@@ -530,7 +530,7 @@ class TestBoundPruning:
         ev = evaluator(n)
         rows = ev.rows(D)
         exact = ev.evaluate(rows, L, np.full(8, -np.inf))
-        _, mu, penalty, _ = rows  # lambda = 0: mu is its distance part
+        mu, penalty = rows[:, ev.mu_cols], rows[:, -2]  # lambda = 0: mu is its distance part
         bound = mu.min(1) - penalty
         assert np.all(bound - exact > 0.1)
         floor = (exact + bound) / 2
@@ -756,6 +756,20 @@ class TestInverseSearch:
         assert all(2 * k * max(ev.edges.size, ev.dim**2) <= 1 << 12 for k in chunks)
         report = (tmp_path / "a" / "report.json").read_bytes()
         assert (tmp_path / "b" / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("n, restarts", [(4, 3), (7, 2)])
+    def test_lambda_step_gathers_the_record(self, n, restarts):
+        # the start builds each restart's record, and so does every step on
+        # a point coordinate (the first 2n of 4n - 3); a lambda step gathers it
+        ev = _FastEvaluator(n)
+        calls, rows, evaluate = [], ev.rows, ev.evaluate
+        ev.rows = lambda D: calls.append("rows") or rows(D)
+        ev.evaluate = lambda *args: calls.append("evaluate") or evaluate(*args)
+        cfg = SearchConfig(n=n, restarts=restarts, local_iters=300, seed=3)
+        _search_chunk(ev, cfg, range(restarts))
+        steps = calls.count("evaluate") - 1
+        assert steps > 4 * n - 3  # a whole sweep, lambda steps included
+        assert calls.count("rows") == 1 + sum(i % (4 * n - 3) < 2 * n for i in range(steps))
 
     def test_acceptance_inverse_config_pinned(self):
         # acceptance criterion 9's inverse config; the values are those of
