@@ -166,7 +166,7 @@ def _paper_structure_match(d: DistanceMatrix, r) -> bool:
     # the paper's n=4 closed forms, A_r block-tridiagonal in d2 (the gather
     # of reduction.linear_maps) and b_r = (-d1; 0; -d1), written for any n
     n, d1 = d.n, d.entries[0, 1:]
-    A_expect = np.append(d.entries.ravel(), 0.0)[linear_maps(n)[0]]
+    A_expect = d.entries.ravel()[linear_maps(n)[0]]
     b_expect = np.concatenate([-d1, np.zeros((n - 3) * (n - 1)), -d1])
     return np.array_equal(r.A_r, A_expect) and np.array_equal(r.b_r, b_expect)
 

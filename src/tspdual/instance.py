@@ -29,12 +29,6 @@ class DistanceMatrix:
     def __post_init__(self):
         self.entries.flags.writeable = False
 
-    def d(self, i: int, j: int) -> float:
-        """Distance between cities i and j (1-based)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"cities ({i}, {j}) are not in 1..{self.n}")
-        return float(self.entries[i - 1, j - 1])
-
 
 @dataclass(frozen=True)
 class Tour:
@@ -58,10 +52,9 @@ class OracleResult:
     best_length: float
 
 
-def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
-    """Check finiteness, zero diagonal, symmetry, nonnegativity, a finite
-    total, and (optionally) the triangle inequality; returns the validated
-    matrix.
+def validate_distance_matrix(entries) -> DistanceMatrix:
+    """Check finiteness, zero diagonal, symmetry, nonnegativity and a
+    finite total; returns the validated matrix.
     """
     mat = np.array(entries, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -93,18 +86,6 @@ def validate_distance_matrix(entries, metric: bool = False) -> DistanceMatrix:
         raise InstanceError(
             "the distances sum past the float64 range, so tour lengths could overflow"
         )
-    if metric:
-        # one row i at a time keeps memory at n^2; with a zero diagonal and
-        # no negative entry, k = i, k = j and i = j never violate
-        for i in range(n):
-            detour = mat[i] + mat.T  # detour[j, k] = d_ik + d_kj
-            bad = np.argwhere(mat[i][:, None] > detour)
-            if len(bad):
-                j, k = (int(v) for v in bad[0])
-                raise InstanceError(
-                    f"{_entry(mat, i, j)} > "
-                    f"d[{i + 1},{k + 1}] + d[{k + 1},{j + 1}] = {float(detour[j, k])!r}"
-                )
     return DistanceMatrix(n=n, entries=mat)
 
 

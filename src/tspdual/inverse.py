@@ -39,7 +39,6 @@ from .instance import (
     DistanceMatrix,
     canonical_tours,
     tour_lengths,
-    validate_distance_matrix,
 )
 from .reduction import ReducedProblem, default_target, linear_maps, reduce_formulation
 
@@ -225,9 +224,9 @@ class _FastEvaluator:
 
     def __init__(self, n: int):
         self.dim = (n - 1) ** 2
-        # A_r entries are picked from d, or from a zero column appended at n^2
+        # A_r entries are picked from d; its structural zeros read d_11
         self.a_index, self.mu_d, self.mu_lam = linear_maps(n)
-        self.mu_cols = slice(n * n + 1, n * n + 1 + self.dim)  # mu's distance part in rows(D)
+        self.mu_cols = slice(n * n, n * n + self.dim)  # mu's distance part in rows(D)
 
         tours = canonical_tours(n).astype(np.intp)
         self.edges = (tours * n + np.roll(tours, -1, axis=1)).T.copy()
@@ -245,18 +244,16 @@ class _FastEvaluator:
         return lengths[:, 1:] - lengths[:, :1]
 
     def rows(self, D: np.ndarray) -> np.ndarray:
-        """The record of a batch of distance rows, one row each: D with
-        A_r's zero column appended at index n^2, then the terms of its score
-        that lambda does not touch: mu's distance part D @ mu_d^T at
-        mu_cols, the penalty at column -2 and max|d| at column -1."""
+        """The record of a batch of distance rows, one row each: D, then
+        the terms of its score that lambda does not touch: mu's distance
+        part D @ mu_d^T at mu_cols, the penalty at column -2 and max|d| at
+        column -1."""
         margins = self.margins(D)
         violation = np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins), axis=1)
         violation += _left_to_right(np.maximum(0.0, STRICTNESS_MARGIN - D[:, self.offdiag]))
         t0, t1, t2 = self.tri
         violation += _left_to_right(np.maximum(0.0, D[:, t0] - D[:, t1] - D[:, t2]))
-        return np.column_stack([
-            D, np.zeros(len(D)), D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)
-        ])
+        return np.column_stack([D, D @ self.mu_d.T, PENALTY_WEIGHT * violation, np.abs(D).max(1)])
 
     def evaluate(self, rows: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Scores of a batch: `rows` is the record rows(D) of the flattened
@@ -403,21 +400,23 @@ def inverse_search(cfg: SearchConfig = SearchConfig()) -> InverseSearchReport:
 
     # replay the winner through the full chain
     lam = thetas[best_k, 2 * n:]
-    d = DistanceMatrix(n, _points_dvec(n, thetas[best_k, :2 * n]).reshape(n, n))
+    dvec = _points_dvec(n, thetas[best_k, :2 * n])[0]
+    d = DistanceMatrix(n, dvec.reshape(n, n))
     replay = feasibility_score(d, lam)
 
     verdict = SearchVerdict.NoFeasiblePointFound
+    ij, ik, kj = ev.tri
     if (
         replay.min_eig > STRICTNESS_MARGIN
         and np.all(replay.margins > STRICTNESS_MARGIN)
         and replay.edm_violations == 0.0
         and replay.stationarity_residual <= STATIONARITY_TOL
-    ):
         # the checks the score does not make: the exact triangle inequality,
         # and the replay's cone test (finiteness, Cholesky, PD_TOLERANCE)
-        validate_distance_matrix(d.entries, metric=True)
-        if replay.in_cone:
-            verdict = SearchVerdict.FeasibleCounterexample
+        and np.all(dvec[ij] <= dvec[ik] + dvec[kj])
+        and replay.in_cone
+    ):
+        verdict = SearchVerdict.FeasibleCounterexample
 
     return InverseSearchReport(
         cfg=cfg,

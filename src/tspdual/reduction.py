@@ -71,18 +71,18 @@ def linear_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms of the reduced problem at the identity target Y-bar, as
     read-only maps (a_index, mu_d, mu_lam) built once per n.  A_r = P (x) d2,
     with P the path adjacency of positions 2..n and d2 = d[2..n, 2..n]:
-    A_r[a, b] is entry a_index[a, b] of d.ravel() extended by a zero at
-    index n^2.  For symmetric d, stationarity at Y-bar gives mu = mu_d @
-    d.ravel() + mu_lam @ lam.  mu_d = (b_r - A_r Y-bar) / (Y-bar - 1/2):
-    row (position p, city c) reads d_ca and d_cb, where a and b are the
-    identity tour's cities at positions p -+ 1 (city 1 at position 1).
-    mu_lam = -E_r^T / (Y-bar - 1/2).  Every row of mu_d and mu_lam has at
-    most two nonzeros, each +-2.
+    A_r[a, b] is entry a_index[a, b] of d.ravel(), and a structural zero
+    reads d_11, the zero diagonal at index 0.  For symmetric d,
+    stationarity at Y-bar gives mu = mu_d @ d.ravel() + mu_lam @ lam.
+    mu_d = (b_r - A_r Y-bar) / (Y-bar - 1/2): row (position p, city c)
+    reads d_ca and d_cb, where a and b are the identity tour's cities at
+    positions p -+ 1 (city 1 at position 1).  mu_lam = -E_r^T / (Y-bar -
+    1/2).  Every row of mu_d and mu_lam has at most two nonzeros, each +-2.
     """
     m = n - 1
     pos, city = np.divmod(np.arange(m * m), m)  # offsets of position and city from 2
     adjacent = np.abs(pos[:, None] - pos[None, :]) == 1
-    a_index = np.where(adjacent, (city[:, None] + 1) * n + city + 1, n * n)
+    a_index = np.where(adjacent, (city[:, None] + 1) * n + city + 1, 0)
     sign = np.where(pos == city, -2.0, 2.0)  # -1 / (Y-bar - 1/2)
     mu_d = np.zeros((m * m, n * n))
     for a in (pos, (pos + 2) % n):  # 0-based cities at positions p -+ 1

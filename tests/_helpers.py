@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 from tspdual.dual import ShiftedSystem, dual_feasible
@@ -13,3 +15,11 @@ def sample_splus(r, rng, scale=2.0):
         ok, _ = dual_feasible(ShiftedSystem(r), lam, mu)
         if ok:
             return lam, mu
+
+
+def assert_metric(d):
+    """d_ij <= fl(d_ik + d_kj) for every i, j, k, entry by entry."""
+    n = d.n
+    for i, j, k in itertools.product(range(n), repeat=3):
+        detour = d.entries[i, k] + d.entries[k, j]
+        assert d.entries[i, j] <= detour, (i, j, k)

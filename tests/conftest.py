@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import assert_metric
 from tspdual.instance import points_to_distance_matrix, validate_distance_matrix
 
 
@@ -8,9 +9,9 @@ from tspdual.instance import points_to_distance_matrix, validate_distance_matrix
 def unit_square():
     """Corners of the unit square: side 1, diagonal sqrt(2), optimum 4."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return validate_distance_matrix(
-        points_to_distance_matrix(pts).entries, metric=True
-    )
+    d = validate_distance_matrix(points_to_distance_matrix(pts).entries)
+    assert_metric(d)
+    return d
 
 
 @pytest.fixture

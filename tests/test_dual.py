@@ -197,7 +197,7 @@ class TestAssemble:
         assert system.W.tobytes() == (r.A_r + np.diag(mu)).tobytes()
         lhs = (system.W @ ybar)[1]
         assert lhs == 0.0  # Y-bar_2 = 0 and the A_r row is orthogonal
-        d13 = distinct_d4.d(1, 3)
+        d13 = distinct_d4.entries[0, 2]
         assert system.b[1] == pytest.approx(
             -d13 + 0.5 * mu[1] - (lam[0] + lam[4]), abs=1e-14
         )

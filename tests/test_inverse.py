@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _helpers import assert_metric
 from tspdual import inverse
 from tspdual.cli import cmd_inverse, main
 from tspdual.dual import ShiftedSystem, dual_feasible
@@ -57,10 +58,10 @@ class TestEliminateMu:
         r = reduce_formulation(build_formulation(distinct_d4))
         lam = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
         mu = eliminate_mu(r, lam)
-        d = distinct_d4
-        assert mu[1] == pytest.approx(2 * (d.d(1, 3) + lam[0] + lam[4]), abs=1e-12)
+        d = distinct_d4.entries
+        assert mu[1] == pytest.approx(2 * (d[0, 2] + lam[0] + lam[4]), abs=1e-12)
         assert mu[4] == pytest.approx(
-            -2 * (d.d(3, 2) + d.d(3, 4) + lam[1] + lam[4]), abs=1e-12
+            -2 * (d[2, 1] + d[2, 3] + lam[1] + lam[4]), abs=1e-12
         )
 
     def test_stationarity_by_construction(self, monkeypatch):
@@ -179,9 +180,8 @@ class TestTwoOptIdentity:
     def test_n4_witness(self):
         # below n = 7 a unique optimum does not rule out M z = 0: this
         # metric d and lambda give M z == 0 with both margins 1
-        d = validate_distance_matrix(
-            [[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]], metric=True
-        )
+        d = validate_distance_matrix([[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]])
+        assert_metric(d)
         r = reduce_formulation(build_formulation(d))
         M = r.A_r + np.diag(eliminate_mu(r, np.array([-2.0, 0.0, -2.0, 0.0, 0.0])))
         assert np.array_equal(M @ reversal(4), np.zeros(9))
@@ -348,10 +348,10 @@ class TestFeasibilityScore:
         mu = eliminate_mu(r, lam)
         M = r.A_r + np.diag(mu)
         assert np.array_equal(np.diag(M), mu)
-        d = distinct_d4
-        assert M[0, 4] == d.d(2, 3) and M[0, 5] == d.d(2, 4)
-        assert M[4, 0] == d.d(3, 2) and M[4, 8] == d.d(3, 4)
-        assert M[8, 3] == d.d(4, 2) and M[8, 4] == d.d(4, 3)
+        d = distinct_d4.entries
+        assert M[0, 4] == d[1, 2] and M[0, 5] == d[1, 3]
+        assert M[4, 0] == d[2, 1] and M[4, 8] == d[2, 3]
+        assert M[8, 3] == d[3, 1] and M[8, 4] == d[3, 2]
         assert M[0, 1] == 0.0 and M[0, 8] == 0.0
 
     def test_homogeneity(self):
@@ -399,8 +399,8 @@ class TestFeasibilityScore:
         L = rng.normal(size=(6, 2 * n - 3))
         ev = evaluator(n)
         rows = ev.rows(D)
-        # the record starts with D padded by A_r's zero column at index n^2
-        assert np.array_equal(rows[:, :n * n + 1], np.column_stack([D, np.zeros(6)]))
+        # the record starts with D, whose zero d_11 A_r's gather reads
+        assert np.array_equal(rows[:, :n * n], D)
         scores = ev.evaluate(rows, L, np.full(6, -np.inf))
         for r in range(6):
             alone = ev.rows(D[r:r + 1])
@@ -833,6 +833,37 @@ class TestVerdictBranch:
         assert rep.verdict is expected
         # the replay's one cone test decides the verdict; none runs after it
         assert calls == {"build": 1, "cone": 1}
+
+    def test_exact_triangle_breach_is_no_counterexample(self, monkeypatch, tmp_path):
+        # the winner's cities 1, 2 and 3 lie on the line x = 0, and rounding
+        # leaves d_13 = 0.9 > fl(d_12 + d_23): a replay that passes every
+        # clause and is in the cone is still no counterexample, and the CLI
+        # reports a finished search, not bad input
+        theta = np.array([0.0, 0.0, 0.0, 0.2, 0.0, 0.9, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+        def winner(ev, cfg, ks):
+            return np.zeros(len(ks)), np.tile(theta, (len(ks), 1))
+
+        def passing_score(d, lam):
+            return replace(
+                feasibility_score(d, lam),
+                min_eig=1.0,
+                in_cone=True,
+                margins=np.ones(2),
+                edm_violations=0.0,
+                stationarity_residual=0.0,
+            )
+
+        monkeypatch.setattr(inverse, "_search_chunk", winner)
+        monkeypatch.setattr(inverse, "feasibility_score", passing_score)
+        rep = inverse_search(cfg=SearchConfig(n=4, restarts=1, local_iters=1))
+        d = rep.d.entries
+        assert d[0, 2] > d[0, 1] + d[1, 2]
+        assert rep.replay.in_cone
+        assert rep.verdict is SearchVerdict.NoFeasiblePointFound
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "restarts": 1, "local_iters": 1}))
+        assert main(["inverse", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSearchConfig:
