@@ -25,32 +25,12 @@ BINARY_TOLERANCE = 1e-6
 CRITICAL_GTOL = 1e-6
 OBJECTIVE_TOLERANCE = 1e-8
 
-# dual_ascent's settings; no caller varies them.  Default ascents on
-# Euclidean seeds 0-3 stop after 314-326 iterations at n = 4, 691-701 at
-# n = 6, 1231-1246 at n = 8 and 1922-1936 at n = 10, well short of MAX_ITER
-GTOL = 1e-8          # gradient norm that ends the ascent
-FTOL = 1e-12         # an accepted step gaining less than this counts as a stall
-MAX_ITER = 10_000
-STALL_ITERS = 10     # consecutive stalls that end the ascent
-INITIAL_STEP = 1.0
-MIN_STEP = 1e-18     # backtracking gives up below this step
-
-# Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.7:
-# Cholesky runs to completion in floating point on a symmetric M of order m
-# with lambda_min(M) > cholesky_theta(m) * max diag(M).  Its model of the
-# arithmetic has no overflow, so the bounds that rest on it (the cone test
-# here, the screen in inverse) are used only on matrices whose magnitudes
-# are below this cap
-CHOLESKY_MAGNITUDE_CAP = 1e150
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def cholesky_theta(m: int) -> float:
-    """theta_m = m g / (1 - m g), g = gamma_{m+1} = (m + 1) u / (1 - (m + 1) u):
-    7.4e-13 at m = 81."""
-    u = UNIT_ROUNDOFF
-    gamma = (m + 1) * u / (1 - (m + 1) * u)
-    return m * gamma / (1 - m * gamma)
+# dual_ascent's barrier path; no caller varies them.  Seeded Euclidean
+# solves at n = 4..10, seeds 0-3, take 27-39 Newton steps
+STAGES = 8         # barrier weights t0, t0 / SHRINK, ..., one centring each
+SHRINK = 20.0
+CENTRED = 1e-3     # a stage ends once decrement^2 <= CENTRED * t * dim
+MIN_STEP = 1e-6    # the line search gives up below this step
 
 
 @dataclass(frozen=True)
@@ -70,7 +50,6 @@ class DualEvaluation:
 class Termination(Enum):
     GradientSmall = "GradientSmall"
     Stalled = "Stalled"
-    IterationCap = "IterationCap"
     LeftCone = "LeftCone"
 
 
@@ -84,8 +63,8 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class AscentResult:
-    best: DualEvaluation  # the last accepted point
-    iterations: int
+    best: DualEvaluation  # the last recorded point
+    iterations: int  # Newton steps taken
     trajectory: list[tuple[float, float, float]]
     termination: Termination
 
@@ -94,68 +73,51 @@ class ShiftedSystem:
     """The shifted system of one reduced problem, one point at a time: the
     one place outside inverse's batched evaluator that forms A_r + diag(mu)
     and b, takes the smallest eigenvalue and runs the cone test.
-    dual_feasible and dual_value write each point they are given into it.
-
-    W is a work matrix that holds A_r + diag(mu) of the last point, with
-    the bits of r.A_r + np.diag(mu): A_r + 0.0 off the diagonal, A_r_ii +
-    mu_i on it, and b holds b_r + mu/2 - E_r^T lam.  A point rewrites only
-    the diagonal, so the finiteness and |row| sums of the off-diagonal
-    part are computed once.
+    dual_feasible, dual_value and dual_ascent write each point they are
+    given into it: W holds A_r + diag(mu) and b holds b_r + mu/2 - E_r^T
+    lam of the last point.
     """
 
     def __init__(self, r: ReducedProblem):
         self.r = r
-        self.W = r.A_r + 0.0
-        self.diag = np.einsum("ii->i", self.W)  # a writable view
-        self.a_diag = r.A_r.diagonal().copy()
-        self.diag[:] = 0.0
-        self.off_finite = bool(np.isfinite(self.W).all())
-        self.off_sums = np.abs(self.W).sum(axis=1)
-        self.theta = cholesky_theta(r.dim)
 
-    def _write(self, lam: np.ndarray, mu: np.ndarray) -> bool:
-        """Writes the point (lam, mu) into W and b; returns whether W is
-        finite."""
+    def _write(self, lam: np.ndarray, mu: np.ndarray) -> None:
+        """Writes the point (lam, mu) into W and b."""
         if lam.shape != (self.r.n_multipliers,) or mu.shape != (self.r.dim,):
             raise ValueError(
                 f"expected lambda length {self.r.n_multipliers} and mu length "
                 f"{self.r.dim}, got {lam.shape} and {mu.shape}"
             )
-        self.diag[:] = self.a_diag + mu
+        self.W = self.r.A_r + np.diag(mu)
         self.b = self.r.b_r + 0.5 * mu - self.r.E_r.T @ lam
-        return self.off_finite and bool(np.isfinite(self.diag).all())
 
-    def _cone_failure(self, finite: bool) -> tuple[str | None, float]:
+    def _cone_failure(self) -> tuple[str | None, float]:
         """The test of the cone that W fails (None if it passes), and its
-        smallest eigenvalue (nan if an entry is not finite).
-
-        Cholesky is attempted only where eigvalsh cannot prove that it
-        succeeds.  eigvalsh's eigenvalues are exact for some W + E with
-        ||E||_2 a modest multiple of eps * ||W||_2 <= eps * ||W||_inf; the
-        slack 1e-12 ||W||_inf (about 4500 eps) covers that.  So where
-        lo - slack > theta * max diag(W) and ||W||_inf is below the cap,
-        lambda_min(W) > theta * max diag(W) and Cholesky succeeds (see
-        cholesky_theta).  ||W||_inf must also be above the cap's inverse,
-        where the slack dwarfs any underflow in the factorization.  Every
-        other point pays the attempt, so every decision is the one that
-        the attempt gives.
-        """
-        if not finite:
+        smallest eigenvalue (nan if an entry is not finite)."""
+        if not np.isfinite(self.W).all():
             return "shifted matrix has a non-finite entry", math.nan
         lo = float(np.linalg.eigvalsh(self.W)[0])
-        norm = float(np.max(self.off_sums + np.abs(self.diag)))  # ||W||_inf
-        proven = (
-            1 / CHOLESKY_MAGNITUDE_CAP < norm < CHOLESKY_MAGNITUDE_CAP
-            and lo - 1e-12 * norm > self.theta * float(self.diag.max())
-        )
-        if not proven:
-            try:
-                np.linalg.cholesky(self.W)
-            except np.linalg.LinAlgError:
-                return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
+        try:
+            np.linalg.cholesky(self.W)
+        except np.linalg.LinAlgError:
+            return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
         if lo <= PD_TOLERANCE:
             return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
         return None, lo
+
+    def _value(self, lam: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """Y solving W Y = b and the dual value at the point written last
+        (lam is its lambda), or None where b is not finite or the solve
+        breaks down."""
+        if not np.isfinite(self.b).all():
+            return None  # a non-finite b breaks the solve down
+        try:
+            y = np.linalg.solve(self.W, self.b)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            return None
+        if not np.isfinite(y).all():
+            return None  # singular to working precision
+        return y, -0.5 * float(self.b @ y) - float(np.sum(lam))
 
 
 def dual_feasible(
@@ -165,35 +127,24 @@ def dual_feasible(
     finite entries, Cholesky success, and the smallest eigenvalue against
     PD_TOLERANCE; returns whether the point passes and that eigenvalue.
     """
-    failure, lo = system._cone_failure(system._write(lam, mu))
+    system._write(lam, mu)
+    failure, lo = system._cone_failure()
     return failure is None, lo
 
 
-def dual_value(
-    system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray, floor: float = -math.inf
-) -> DualEvaluation | None:
+def dual_value(system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray) -> DualEvaluation:
     """Dual function value, recovered minimizer, and its gradient at
-    (lam, mu).
-
-    The solve runs before the cone test, so a point whose Y is finite
-    and whose value is <= floor returns None without paying for the
-    test.  Every other point is judged as with no floor: the cone test
-    first, then the solve, each with its own NotDualFeasible message.
+    (lam, mu): the cone test first, then the solve, each with its own
+    NotDualFeasible message.
     """
-    finite = system._write(lam, mu)
-    y = None
-    if finite and np.isfinite(system.b).all():
-        y = _solve(system.W, system.b)  # a non-finite b breaks the solve down
-    value = math.nan
-    if y is not None:
-        value = -0.5 * float(system.b @ y) - float(np.sum(lam))
-    if floor > -math.inf and value <= floor:  # never for nan, nor with no floor
-        return None
-    failure, lo = system._cone_failure(finite)
+    system._write(lam, mu)
+    failure, lo = system._cone_failure()
     if failure is not None:
         raise NotDualFeasible(failure)
-    if y is None:
+    solved = system._value(lam)
+    if solved is None:
         raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
+    y, value = solved
     grad_lambda = system.r.E_r @ y - np.ones(system.r.n_multipliers)
     grad_mu = 0.5 * (y * y - y)
     return DualEvaluation(
@@ -208,15 +159,6 @@ def dual_value(
     )
 
 
-def _solve(A_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray | None:
-    """Y solving A_mat Y = b_vec, or None where the solve breaks down."""
-    try:
-        y = np.linalg.solve(A_mat, b_vec)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        return None
-    return y if np.isfinite(y).all() else None  # singular to working precision
-
-
 def default_start(r: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
     """(lam, mu) with a strictly diagonally dominant shift: a constructive
     proof that the dual feasible cone is nonempty.
@@ -224,65 +166,109 @@ def default_start(r: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(r.n_multipliers), 1.0 + np.sum(np.abs(r.A_r), axis=1)
 
 
+def _barrier_point(system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray):
+    """(Y, g, L) at (lam, mu), L the Cholesky factor of W - PD_TOLERANCE I;
+    None where W or b is not finite, or the factorization or the solve
+    fails."""
+    system._write(lam, mu)
+    if not np.isfinite(system.W).all():
+        return None
+    try:
+        L = np.linalg.cholesky(system.W - PD_TOLERANCE * np.eye(len(mu)))
+    except np.linalg.LinAlgError:
+        return None
+    solved = system._value(lam)
+    return None if solved is None or not math.isfinite(solved[1]) else (*solved, L)
+
+
+def _newton_step(system: ShiftedSystem, y: np.ndarray, L: np.ndarray, t: float):
+    """The Newton step (d_lam, d_mu) of phi = g + t logdet(S), S = W -
+    PD_TOLERANCE I, at the point written last, whose Y is y and whose S =
+    L L^T, and its squared Newton decrement; None where the Newton system
+    is not finite.  -Hessian = J^T W^-1 J + t (S^-1 o S^-1) on the mu
+    block, with J = [-E_r^T, diag(1/2 - Y)]."""
+    r = system.r
+    m = r.n_multipliers
+    J = np.hstack([-r.E_r.T, np.diag(0.5 - y)])
+    try:
+        L_inv = np.linalg.inv(L)
+        S_inv = L_inv.T @ L_inv
+        H = J.T @ np.linalg.solve(system.W, J)
+        H[m:, m:] += t * S_inv * S_inv
+        grad = np.concatenate([r.E_r @ y - 1.0, 0.5 * (y * y - y) + t * S_inv.diagonal()])
+        step = np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError:  # a non-finite or exactly singular system
+        return None
+    decrement2 = float(grad @ step)
+    return (step[:m], step[m:], decrement2) if math.isfinite(decrement2) else None
+
+
 def dual_ascent(r: ReducedProblem) -> AscentResult:
-    """Gradient ascent with backtracking inside the cone: the trial step
-    p + t * grad g is not projected; a trial point that leaves the
-    positive-definite cone or does not improve is rejected and t halved,
-    so accepted iterates only ever improve the dual value.  A trial point
-    that does not improve is rejected before its cone test, which runs
-    only if no step of the iteration is accepted and the termination
-    hangs on it.  All points share one ShiftedSystem.
+    """Maximizes g on a log-barrier path from default_start(r): damped
+    Newton on phi = g + t logdet(W - PD_TOLERANCE I) over (lam, mu), for
+    STAGES weights t, from t0 = |g0| / dim down by SHRINK each stage.  A
+    step s * (Newton step) is taken where W - PD_TOLERANCE I factors by
+    Cholesky and phi strictly rises; s halves down to MIN_STEP.  A stage
+    ends centred (decrement^2 <= CENTRED * t * dim) or when its line
+    search fails, and its end point goes through dual_value.  The
+    trajectory holds the start and each stage end that beats the last
+    recorded value; best is the last recorded point.
+
+    Termination: GradientSmall if the last stage ended centred; Stalled if
+    its line search failed, or if a Newton system was not finite, which
+    ends the path; LeftCone if a stage end failed the cone test, which
+    ends the path too.  All points share one ShiftedSystem.
     """
     system = ShiftedSystem(r)
+    lam, mu = default_start(r)
     try:
-        ev = dual_value(system, *default_start(r))
+        ev = dual_value(system, lam, mu)
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
     trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
-    step = INITIAL_STEP
-    stall = 0
-    for done in range(MAX_ITER):  # iterations completed so far
-        if ev.grad_norm < GTOL:
-            termination, iterations = Termination.GradientSmall, done
-            break
-        left_cone = False
-        unimproving = []  # trial points skipped before the cone test
-        t = step
-        while t >= MIN_STEP:
-            cand_lam, cand_mu = ev.lam + t * ev.grad_lambda, ev.mu + t * ev.grad_mu
-            try:
-                cand = dual_value(system, cand_lam, cand_mu, floor=ev.value)
-            except NotDualFeasible:
-                left_cone = True
-            else:
-                if cand is None:
-                    unimproving.append((cand_lam, cand_mu))
-                elif cand.value > ev.value:
+    t = abs(ev.value) / r.dim
+    point = _barrier_point(system, lam, mu)
+    steps = 0
+    with np.errstate(all="ignore"):  # every decision tests for non-finite values
+        for _ in range(STAGES):
+            termination = Termination.Stalled
+            while point is not None:
+                y, g, L = point
+                newton = _newton_step(system, y, L, t)
+                if newton is None:
+                    point = None
                     break
-            t *= 0.5
-        else:
-            # no step improved: the ascent left the cone if a trial point
-            # failed the cone test, skipped ones included, else it stalled
-            left_cone = left_cone or any(
-                not dual_feasible(system, *c)[0] for c in unimproving
-            )
-            termination = Termination.LeftCone if left_cone else Termination.Stalled
-            iterations = done + 1
-            break
-        stall = stall + 1 if cand.value - ev.value < FTOL else 0
-        ev = cand
-        trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
-        step = 2.0 * t  # cautious growth for the next iteration
-        if stall >= STALL_ITERS:
-            termination, iterations = Termination.Stalled, done + 1
-            break
-    else:
-        termination, iterations = Termination.IterationCap, MAX_ITER
+                d_lam, d_mu, decrement2 = newton
+                if decrement2 <= CENTRED * t * r.dim:
+                    termination = Termination.GradientSmall
+                    break
+                s = 1.0
+                while s >= MIN_STEP:
+                    trial_lam, trial_mu = lam + s * d_lam, mu + s * d_mu
+                    trial = _barrier_point(system, trial_lam, trial_mu)
+                    if trial is not None and trial[1] - g + 2 * t * float(
+                        np.sum(np.log(trial[2].diagonal() / L.diagonal()))
+                    ) > 0:
+                        break
+                    s *= 0.5
+                else:
+                    break  # the line search failed
+                lam, mu, point = trial_lam, trial_mu, trial
+                steps += 1
+            try:
+                end = dual_value(system, lam, mu)
+            except NotDualFeasible:
+                termination = Termination.LeftCone
+                break
+            if end.value > ev.value:
+                ev = end
+                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
+            if point is None:
+                termination = Termination.Stalled
+                break
+            t /= SHRINK
     return AscentResult(
-        best=ev,
-        iterations=iterations,
-        trajectory=trajectory,
-        termination=termination,
+        best=ev, iterations=steps, trajectory=trajectory, termination=termination
     )
 
 

@@ -25,14 +25,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import check_range
-from .dual import (
-    CHOLESKY_MAGNITUDE_CAP,
-    PD_TOLERANCE,
-    UNIT_ROUNDOFF,
-    ShiftedSystem,
-    cholesky_theta,
-    dual_feasible,
-)
+from .dual import PD_TOLERANCE, ShiftedSystem, dual_feasible
 from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
@@ -53,6 +46,22 @@ STEP_FLOOR = 1e-9
 LOCKSTEP_CELLS = 1 << 22
 # at n = 3 every tour is the target, so there are no optimality margins
 MIN_SEARCH_CITIES = 4
+
+# Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.7:
+# Cholesky runs to completion in floating point on a symmetric M of order m
+# with lambda_min(M) > cholesky_theta(m) * max diag(M).  Its model of the
+# arithmetic has no overflow, so the screen in _FastEvaluator.evaluate is
+# used only on matrices whose magnitudes are below this cap
+CHOLESKY_MAGNITUDE_CAP = 1e150
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def cholesky_theta(m: int) -> float:
+    """theta_m = m g / (1 - m g), g = gamma_{m+1} = (m + 1) u / (1 - (m + 1) u):
+    7.4e-13 at m = 81."""
+    u = UNIT_ROUNDOFF
+    gamma = (m + 1) * u / (1 - (m + 1) * u)
+    return m * gamma / (1 - m * gamma)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,19 @@ class TestDual:
         assert (out1 / "gap_record.json").read_bytes() == (out2 / "gap_record.json").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "n, seed, row",
+        [
+            (4, 3, "0,-1.3376656150452477,1.6535495038878214,1.0000000000000009"),
+            (10, 0, "0,-50.38294062746096,5.4996394824097194,1.0"),
+        ],
+    )
+    def test_trace_starts_at_the_default_start(self, tmp_path, n, seed, row):
+        # row 0 is the start, with the bytes the gradient ascent wrote for it
+        out = tmp_path / "out"
+        assert main(["dual", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        assert (out / "trace.csv").read_text().splitlines()[1] == row
+
     def test_huge_distances_end_without_traceback(self, tmp_path, capsys):
         # the sum is finite, but Y overflows at this scale; a non-finite Y
         # or shifted matrix counts as outside the cone, never as a result
@@ -182,10 +195,10 @@ class TestDual:
         assert (out / "trace.csv").read_text().startswith("iteration,g,")
 
 
-# seeded instances at scales where the ascent's start passes the cone
-# test yet its value lies above the optimum (the ascent ends Stalled after
-# one iteration): 4.47e31 against 2.26e16, 1.23e116 against 2.26e100 and
-# 5.44e305 against 2.50e290
+# seeded instances at scales where the start passes the cone test yet its
+# value lies above the optimum, and so does the path's best, which ends
+# Stalled: 2.90e34 against 2.26e16, 2.22e119 against 2.26e100 and 9.73e305
+# against 2.50e290 (a Newton system overflows there)
 ABOVE_OPTIMUM = [(6, 2, 1e16), (6, 2, 1e100), (4, 0, 1e290)]
 
 
@@ -509,11 +522,15 @@ BAD_CONFIGS = [
     ("experiment", {"k": "3"}, "k"),
 ]
 
-# The ascent's six settings are module constants and `dual` reads no config,
-# so `experiment`, the one command that runs the ascent from a config, must
-# refuse each of them by name: flat, and inside an `ascent` object, which is
+# The barrier path's four settings are module constants and `dual` reads no
+# config, so `experiment`, the one command that runs the path from a config,
+# must refuse each of them by name, as it refuses the settings of the
+# gradient ascent before it: flat, and inside an `ascent` object, which is
 # itself an unknown key.  (id, config, key named)
 ASCENT_SETTING_CONFIGS = [
+    ("dual-stages", {"stages": 4}, "stages"),
+    ("dual-shrink", {"shrink": 10.0}, "shrink"),
+    ("dual-centred", {"centred": 1e-6}, "centred"),
     ("dual-max_iter", {"max_iter": "5"}, "max_iter"),
     ("dual-max_iter", {"max_iter": -1}, "max_iter"),
     ("dual-stall_iters", {"stall_iters": 0}, "stall_iters"),

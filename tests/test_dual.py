@@ -54,13 +54,6 @@ def identity_fixture():
     return r, ybar
 
 
-def higham_theta(m):
-    """theta_m of Higham's Thm 10.7, stated independently of dual."""
-    u = np.finfo(float).eps / 2
-    g = (m + 1) * u / (1 - (m + 1) * u)
-    return m * g / (1 - m * g)
-
-
 def reference_cone_failure(A_mat):
     """The cone test with a Cholesky attempt on every point: finiteness,
     eigvalsh, Cholesky, then PD_TOLERANCE."""
@@ -77,8 +70,7 @@ def reference_cone_failure(A_mat):
 
 
 def reference_dual_value(r, lam, mu):
-    """dual_value before it took a floor: the cone test first on every
-    point, then the solve."""
+    """dual_value from scratch: the cone test first, then the solve."""
     A_mat = r.A_r + np.diag(mu)
     b_vec = r.b_r + 0.5 * mu - r.E_r.T @ lam
     failure, lo = reference_cone_failure(A_mat)
@@ -102,52 +94,6 @@ def reference_dual_value(r, lam, mu):
         grad_norm=float(np.sqrt(np.sum(grad_lambda**2) + np.sum(grad_mu**2))),
         min_eig=lo,
     )
-
-
-def reference_ascent(r):
-    """dual_ascent's backtracking loop with every trial point cone-tested
-    before its value is compared."""
-    lam, mu = default_start(r)
-    ev = reference_dual_value(r, lam, mu)
-    trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
-    step = dual.INITIAL_STEP
-    stall = 0
-    termination = Termination.IterationCap
-    iterations = 0
-    for iterations in range(1, dual.MAX_ITER + 1):
-        if ev.grad_norm < dual.GTOL:
-            termination = Termination.GradientSmall
-            iterations -= 1
-            break
-        accepted = False
-        left_cone = False
-        t = step
-        while t >= dual.MIN_STEP:
-            cand_lam, cand_mu = lam + t * ev.grad_lambda, mu + t * ev.grad_mu
-            try:
-                cand_ev = reference_dual_value(r, cand_lam, cand_mu)
-            except NotDualFeasible:
-                left_cone = True
-                t *= 0.5
-                continue
-            if cand_ev.value > ev.value:
-                lam, mu, ev = cand_lam, cand_mu, cand_ev
-                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
-                accepted = True
-                step = 2.0 * t
-                break
-            t *= 0.5
-        if not accepted:
-            termination = Termination.LeftCone if left_cone else Termination.Stalled
-            break
-        if trajectory[-1][0] - trajectory[-2][0] < dual.FTOL:
-            stall += 1
-            if stall >= dual.STALL_ITERS:
-                termination = Termination.Stalled
-                break
-        else:
-            stall = 0
-    return (lam, mu), iterations, trajectory, termination
 
 
 def euclidean_reduced(n, seed):
@@ -335,6 +281,9 @@ class TestDualValue:
 
 
 class TestDualValueFloor:
+    """dual_value takes no floor: every point gets the cone test and then
+    the solve, as the reference does, and a value is returned as computed."""
+
     def test_no_floor_matches_reference(self, reduced):
         # in-cone points, and out-of-cone ones whose solve succeeds
         rng = np.random.default_rng(6)
@@ -356,35 +305,6 @@ class TestDualValueFloor:
                     else:
                         assert_same_evaluation(dual_value(ShiftedSystem(r), *p), ref)
 
-    def test_skips_only_at_or_below_floor(self, reduced):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            lam, mu = sample_splus(reduced, rng)
-            system = ShiftedSystem(reduced)
-            ev = dual_value(ShiftedSystem(reduced), lam, mu)
-            assert dual_value(system, lam, mu, floor=ev.value) is None
-            assert dual_value(system, lam, mu, floor=math.inf) is None
-            below = dual_value(system, lam, mu, floor=np.nextafter(ev.value, -math.inf))
-            assert_same_evaluation(below, ev)
-
-    @pytest.mark.parametrize(
-        "shift, failure",
-        [
-            (-2.0, "Cholesky factorization failed"),
-            (-1.0 + 1e-12, "min eigenvalue 9.999778782798785e-13 <= 1e-10"),
-        ],
-        ids=["cholesky", "eigenvalue"],
-    )
-    def test_out_of_cone_point_above_floor_raises(self, identity_fixture, shift, failure):
-        r, _ = identity_fixture  # the shifted matrix is (1 + shift) I
-        lam, mu = np.zeros(5), np.full(9, shift)
-        system = ShiftedSystem(r)
-        assert not dual_feasible(system, lam, mu)[0]
-        value = -0.5 * float(system.b @ np.linalg.solve(system.W, system.b))
-        with pytest.raises(NotDualFeasible, match=failure):
-            dual_value(system, lam, mu, floor=np.nextafter(value, -math.inf))
-        assert dual_value(system, lam, mu, floor=value) is None  # its cone test never ran
-
     @pytest.mark.parametrize(
         "lam, mu, failure",
         [
@@ -402,23 +322,20 @@ class TestDualValueFloor:
             with pytest.raises(NotDualFeasible, match=failure) as ref:
                 reference_dual_value(r, lam, mu)
             with pytest.raises(NotDualFeasible) as got:
-                dual_value(ShiftedSystem(r), lam, mu, floor=math.inf)
+                dual_value(ShiftedSystem(r), lam, mu)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize(
-        "sign, floor, expected",
-        [(-1.0, math.inf, math.nan), (1.0, -math.inf, -math.inf)],
-        ids=["nan", "minus-inf"],
+        "sign, expected", [(-1.0, math.nan), (1.0, -math.inf)], ids=["nan", "minus-inf"]
     )
-    def test_overflowing_value_is_returned(self, identity_fixture, sign, floor, expected):
+    def test_overflowing_value_is_returned(self, identity_fixture, sign, expected):
         # position rows 1 and 2 of E_r share no entry, so b stays finite
         # while b @ Y and the sum of lambda overflow: -0.5 * inf - (-inf) is
-        # nan, which no floor skips, and -0.5 * inf - inf is -inf, which
-        # the absent floor must not skip either
+        # nan and -0.5 * inf - inf is -inf
         r, _ = identity_fixture
         lam, mu = np.array([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0]), np.zeros(9)
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = dual_value(ShiftedSystem(r), lam, mu, floor=floor)
+            ev = dual_value(ShiftedSystem(r), lam, mu)
             ref = reference_dual_value(r, lam, mu)
         assert_same_evaluation(ev, ref)
         assert np.isfinite(ev.Y).all()
@@ -436,9 +353,9 @@ def cone_tests(monkeypatch):
         attempts.append(None)
         return cholesky(a)
 
-    def recorded(self, finite):
+    def recorded(self):
         W, before = self.W.copy(), len(attempts)
-        result = cone(self, finite)
+        result = cone(self)
         records.append((W, result, len(attempts) > before))
         return result
 
@@ -447,20 +364,12 @@ def cone_tests(monkeypatch):
     return records
 
 
-def assert_certificate_sound(records):
-    """Cholesky is skipped exactly where lo - 1e-12 ||W||_inf > theta *
-    max diag(W) with 1e-150 < ||W||_inf < 1e150, it succeeds wherever it
-    is skipped, and every result is the reference cone test's."""
+def assert_reference_cone_tests(records):
+    """Each cone test attempted Cholesky wherever W is finite and gave the
+    reference cone test's result."""
     assert records
     for W, (failure, lo), attempted in records:
-        norm = np.linalg.norm(W, np.inf)
-        proven = bool(
-            1e-150 < norm < 1e150
-            and lo - 1e-12 * norm > higham_theta(len(W)) * W.diagonal().max()
-        )
-        assert attempted is not proven or not np.isfinite(W).all()
-        if proven:
-            np.linalg.cholesky(W)
+        assert attempted is bool(np.isfinite(W).all())
         assert repr((failure, lo)) == repr(reference_cone_failure(W))
 
 
@@ -469,11 +378,18 @@ def scaled_reduced(n, seed, scale):
     return reduce_formulation(build_formulation(DistanceMatrix(n, scale * d.entries)))
 
 
-# (n, seed) of the ascents below that end Stalled; every other one ends
-# LeftCone. (7, 2), (8, 1) and (10, 3) raise nothing in their last
-# iteration: a trial point that dual_value skipped fails its deferred
-# cone test
-STALLED = {(5, 0), (6, 2), (6, 3), (10, 2)}
+# dual_bound of the backtracking gradient ascent that the barrier path
+# replaced, per n: seeds 0-3 of `tspdual experiment` with
+# {"k": 4, "ns": [4, ..., 10], "seed": 0}
+REFERENCE_ASCENT_BOUNDS = {
+    4: (0.12756341648697056, 0.1677885469018774, -0.009259537965764064, 0.1378433001834103),
+    5: (-1.715352222379958, -1.69631201910902, -2.0080712848815807, -1.3964536085153354),
+    6: (-5.928861068468761, -4.376406786162193, -4.574427883626211, -3.651939270012533),
+    7: (-10.950983681086694, -8.187379406517993, -7.898710532222523, -6.393914774066573),
+    8: (-16.21752105263765, -12.021090622848313, -11.48462427811937, -11.857336132896457),
+    9: (-22.230409315522316, -17.16520755338503, -18.129976533588568, -16.643751772127423),
+    10: (-29.87387271464528, -22.90419744550852, -24.19965051282216, -22.202118916849503),
+}
 
 
 class TestDualAscent:
@@ -482,56 +398,22 @@ class TestDualAscent:
     def test_matches_reference_ascent(self, n, seed, cone_tests):
         r = euclidean_reduced(n, seed)
         res = dual_ascent(r)
-        assert_certificate_sound(cone_tests)
-        best, iterations, trajectory, termination = reference_ascent(r)
-        assert np.array(res.trajectory).tobytes() == np.array(trajectory).tobytes()
-        # the ascent's best evaluation is the one a fresh solve at its point gives
-        ref = reference_dual_value(r, *best)
+        assert_reference_cone_tests(cone_tests)
+        assert len(cone_tests) == dual.STAGES + 1  # the start and each stage end
+        # the bound is at least the reference ascent's, and every seeded
+        # path ends centred with more Newton steps than stages
+        assert res.best.value >= REFERENCE_ASCENT_BOUNDS[n][seed]
+        assert res.termination is Termination.GradientSmall
+        assert dual.STAGES < res.iterations < 50
+        values = [v for v, _, _ in res.trajectory]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert res.trajectory[-1] == (res.best.value, res.best.grad_norm, res.best.min_eig)
+        # the path's best evaluation is the one a fresh solve at its point gives
+        ref = reference_dual_value(r, res.best.lam, res.best.mu)
         assert_same_evaluation(res.best, ref)
-        assert res.best.value == trajectory[-1][0]
         optimum = brute_force_optimum(random_euclidean_instance(n, seed)[0]).best_length
-        assert verify_global(r, res.best, optimum) is verify_global(r, ref, optimum)
-        assert res.iterations == iterations
-        assert res.termination is termination
-        assert termination is (
-            Termination.Stalled if (n, seed) in STALLED else Termination.LeftCone
-        )
-
-    @pytest.mark.parametrize(
-        "n, seed, deferred", [(8, 0, 0), (10, 0, 0), (5, 0, 9), (7, 2, 1)]
-    )
-    def test_cone_test_skipped_on_unimproving_points(self, n, seed, deferred, monkeypatch):
-        r = euclidean_reduced(n, seed)
-        counts = dict.fromkeys(("cone", "value", "raised", "skipped", "deferred"), 0)
-        system = ShiftedSystem
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        value = dual.dual_value
-
-        def classified_value(*args, **kwargs):
-            try:
-                ev = value(*args, **kwargs)
-            except NotDualFeasible:
-                counts["raised"] += 1
-                raise
-            counts["skipped"] += ev is None
-            return ev
-
-        monkeypatch.setattr(system, "_cone_failure", counted("cone", system._cone_failure))
-        monkeypatch.setattr(dual, "dual_value", counted("value", classified_value))
-        monkeypatch.setattr(dual, "dual_feasible", counted("deferred", dual.dual_feasible))
-        res = dual_ascent(r)
-        accepted = len(res.trajectory) - 1
-        # every call is the start, an accepted step, a rejection or a skip
-        assert counts["value"] == 1 + accepted + counts["raised"] + counts["skipped"]
-        assert counts["cone"] == 1 + accepted + counts["raised"] + counts["deferred"]
-        assert counts["cone"] < 0.6 * counts["value"]
-        assert counts["deferred"] == deferred
+        assert res.best.value <= optimum
+        assert verify_global(r, res.best, optimum) is Verdict.NotCriticalPoint
 
     def test_trajectory_nondecreasing(self, reduced):
         res = dual_ascent(reduced)
@@ -571,26 +453,39 @@ class TestDualAscent:
             dual_ascent(r)
         assert type(exc.value) is TspdualError
         assert str(exc.value) == "start is not dual feasible: " + failure.format(lo)
-        assert_certificate_sound(cone_tests)
+        assert_reference_cone_tests(cone_tests)
 
-    # the exits that no seeded ascent reaches, each forced by one setting:
-    # (setting, value, termination, iterations); the trajectory holds the
-    # start and one point per counted iteration
+    # each exit forced, by a setting on the seeded (5, 1) instance or by a
+    # scaled instance: (setting, its value, (n, seed, scale), termination,
+    # Newton steps or None, recorded points, stage ends reached)
     @pytest.mark.parametrize(
-        "name, value, termination, iterations",
+        "name, value, instance, termination, iterations, recorded, stage_ends",
         [
-            ("MAX_ITER", 3, Termination.IterationCap, 3),
-            ("GTOL", math.inf, Termination.GradientSmall, 0),
-            ("FTOL", math.inf, Termination.Stalled, dual.STALL_ITERS),
+            # every stage is centred at its first Newton system
+            ("CENTRED", math.inf, (5, 1, 1.0), Termination.GradientSmall, 0, 1, 8),
+            # every line search fails at once
+            ("MIN_STEP", math.inf, (5, 1, 1.0), Termination.Stalled, 0, 1, 8),
+            # a stage end fails the cone test: W - 1e-10 I rounds to W at
+            # this scale, so the barrier does not keep lo above 1e-10
+            (None, None, (4, 2, 2.0**600), Termination.LeftCone, None, 2, 2),
+            # the Newton system overflows, which ends the path
+            (None, None, (4, 0, 1e290), Termination.Stalled, None, 2, 2),
         ],
-        ids=["IterationCap", "GradientSmall", "Stalled"],
+        ids=["GradientSmall", "Stalled", "LeftCone", "Stalled-overflow"],
     )
-    def test_forced_exit(self, name, value, termination, iterations, monkeypatch):
-        monkeypatch.setattr(dual, name, value)
-        res = dual_ascent(euclidean_reduced(5, 1))
+    def test_forced_exit(
+        self, name, value, instance, termination, iterations, recorded, stage_ends,
+        monkeypatch, cone_tests,
+    ):
+        if name is not None:
+            monkeypatch.setattr(dual, name, value)
+        res = dual_ascent(scaled_reduced(*instance))
         assert res.termination is termination
-        assert res.iterations == iterations
-        assert len(res.trajectory) == iterations + 1
+        assert iterations is None or res.iterations == iterations
+        assert len(res.trajectory) == recorded
+        assert res.trajectory[-1][0] == res.best.value
+        assert len(cone_tests) == 1 + stage_ends
+        assert_reference_cone_tests(cone_tests)
 
     def test_default_start_feasible(self):
         for seed in range(5):
@@ -601,10 +496,10 @@ class TestDualAscent:
 
 
 class TestConeCertificate:
-    """The cone test skips its Cholesky attempt only where eigvalsh and
-    Higham's Thm 10.7 prove that it succeeds."""
+    """The cone test attempts Cholesky on every finite W and gives the
+    reference cone test's result, at extreme scales and at the cone edge."""
 
-    # 2^-540 and 2^500 put ||W||_inf below and above the cap's window
+    # 2^-540 and 2^500 put ||W||_inf far below and above 1
     @pytest.mark.parametrize("k", [-540, -40, 20, 56, 500])
     def test_sound_on_scaled_default_starts(self, k, cone_tests):
         scale = 2.0**k
@@ -616,9 +511,7 @@ class TestConeCertificate:
             # the start scaled with its instance: W scales exactly
             mu = scale * default_start(euclidean_reduced(n, 0))[1]
             dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu)
-        assert_certificate_sound(cone_tests)
-        exact = [attempted for *_, attempted in cone_tests[1::2]]
-        assert exact == [k in (-540, 500)] * 7
+        assert_reference_cone_tests(cone_tests)
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_sound_at_the_cone_edge(self, n, cone_tests):
@@ -628,17 +521,12 @@ class TestConeCertificate:
         for delta in (0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9):
             for shift in (delta, -delta):
                 dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu + shift)
-        assert_certificate_sound(cone_tests)
-        # some point that the slack sends to Cholesky has lo above
-        # theta * max diag(W), so the slack decides there
-        theta = higham_theta(r.dim)
-        assert any(
-            attempted and lo > theta * W.diagonal().max()
-            for W, (_, lo), attempted in cone_tests
-        )
+        assert_reference_cone_tests(cone_tests)
+        # the edge points fall on both sides of the test
+        assert {failure is None for _, (failure, _), _ in cone_tests} == {True, False}
 
     def test_linalg_calls_pinned(self, monkeypatch):
-        counts = dict.fromkeys(("eigvalsh", "solve", "cholesky"), 0)
+        counts = dict.fromkeys(("eigvalsh", "solve", "cholesky", "inv"), 0)
         for name in counts:
             fn = getattr(np.linalg, name)
 
@@ -647,10 +535,13 @@ class TestConeCertificate:
                 return _fn(*args)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        # the whole dual command: the verifier reads the ascent's best
-        # evaluation and adds no solve or eigensolve
+        # the whole dual command: the verifier reads the path's best
+        # evaluation and adds no solve or eigensolve.  29 Newton steps:
+        # 9 cone tests (the start and 8 stage ends), 37 Newton systems (an
+        # inverse and two solves each), 1 + 100 barrier factorizations of
+        # which 31 pass and pay a solve
         _run_dual(random_euclidean_instance(10, 0)[0])
-        assert counts == {"eigvalsh": 1941, "solve": 3903, "cholesky": 0}
+        assert counts == {"eigvalsh": 9, "solve": 114, "cholesky": 110, "inv": 37}
 
 
 class TestVerifyGlobal:
@@ -662,8 +553,8 @@ class TestVerifyGlobal:
         assert verdict is Verdict.ConfirmsTheorem2
 
     def test_ascent_output_does_not_confirm(self, reduced, unit_square):
-        # the expected negative outcome: the dual supremum sits on the cone
-        # boundary with a non-binary recovered Y, so no certificate appears
+        # the expected negative outcome: the path ends at a non-binary
+        # recovered Y, so no certificate appears
         optimum = brute_force_optimum(unit_square).best_length
         res = dual_ascent(reduced)
         verdict = verify_global(reduced, res.best, optimum)

@@ -74,10 +74,10 @@ def traced_parents(run) -> dict[str, list]:
 
 
 def test_dual_command_calls_dual_value_per_solve():
-    # one dual_value per solve of the ascent (TestConeCertificate pins
-    # 3903), and no dual_feasible: the ascent stops without a deferred test
+    # one dual_value for the start and one per stage end of the barrier
+    # path, and no dual_feasible: a trial point pays only a Cholesky factor
     parents = traced_parents(lambda: _run_dual(random_euclidean_instance(10, 0)[0]))
-    assert parents["dual.value"] == ["dual.ascent"] * 3903
+    assert parents["dual.value"] == ["dual.ascent"] * 9
     assert "dual.feasible" not in parents
 
 
