@@ -206,8 +206,8 @@ def _run_dual(d: DistanceMatrix):
 def cmd_dual(d: DistanceMatrix, config: dict) -> Result:
     result, optimum, verdict, gap = _run_dual(d)
     trace = ["iteration,g,gradient_norm,min_eig"]
-    for it, (g, gn, lo) in enumerate(result.trajectory):
-        trace.append(f"{it},{g!r},{gn!r},{lo!r}")
+    for it, ev in enumerate(result.trajectory):
+        trace.append(f"{it},{ev.value!r},{ev.grad_norm!r},{ev.min_eig!r}")
     record = {
         "instance": config["instance_id"],
         "n": d.n,

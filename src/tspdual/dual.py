@@ -63,89 +63,83 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class AscentResult:
-    best: DualEvaluation  # the last recorded point
+    trajectory: list[DualEvaluation]  # the recorded points, values strictly rising
     iterations: int  # Newton steps taken
-    trajectory: list[tuple[float, float, float]]
     termination: Termination
 
-
-class ShiftedSystem:
-    """The shifted system of one reduced problem, one point at a time: the
-    one place outside inverse's batched evaluator that forms A_r + diag(mu)
-    and b, takes the smallest eigenvalue and runs the cone test.
-    dual_feasible, dual_value and dual_ascent write each point they are
-    given into it: W holds A_r + diag(mu) and b holds b_r + mu/2 - E_r^T
-    lam of the last point.
-    """
-
-    def __init__(self, r: ReducedProblem):
-        self.r = r
-
-    def _write(self, lam: np.ndarray, mu: np.ndarray) -> None:
-        """Writes the point (lam, mu) into W and b."""
-        if lam.shape != (self.r.n_multipliers,) or mu.shape != (self.r.dim,):
-            raise ValueError(
-                f"expected lambda length {self.r.n_multipliers} and mu length "
-                f"{self.r.dim}, got {lam.shape} and {mu.shape}"
-            )
-        self.W = self.r.A_r + np.diag(mu)
-        self.b = self.r.b_r + 0.5 * mu - self.r.E_r.T @ lam
-
-    def _cone_failure(self) -> tuple[str | None, float]:
-        """The test of the cone that W fails (None if it passes), and its
-        smallest eigenvalue (nan if an entry is not finite)."""
-        if not np.isfinite(self.W).all():
-            return "shifted matrix has a non-finite entry", math.nan
-        lo = float(np.linalg.eigvalsh(self.W)[0])
-        try:
-            np.linalg.cholesky(self.W)
-        except np.linalg.LinAlgError:
-            return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
-        if lo <= PD_TOLERANCE:
-            return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
-        return None, lo
-
-    def _value(self, lam: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Y solving W Y = b and the dual value at the point written last
-        (lam is its lambda), or None where b is not finite or the solve
-        breaks down."""
-        if not np.isfinite(self.b).all():
-            return None  # a non-finite b breaks the solve down
-        try:
-            y = np.linalg.solve(self.W, self.b)
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            return None
-        if not np.isfinite(y).all():
-            return None  # singular to working precision
-        return y, -0.5 * float(self.b @ y) - float(np.sum(lam))
+    @property
+    def best(self) -> DualEvaluation:
+        """The last recorded point."""
+        return self.trajectory[-1]
 
 
-def dual_feasible(
-    system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray
-) -> tuple[bool, float]:
+def shifted_system(
+    r: ReducedProblem, lam: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, b) at (lam, mu): W = A_r + diag(mu) and b = b_r + mu/2 - E_r^T
+    lam.  The one place outside inverse's batched evaluator that forms
+    them."""
+    if lam.shape != (r.n_multipliers,) or mu.shape != (r.dim,):
+        raise ValueError(
+            f"expected lambda length {r.n_multipliers} and mu length "
+            f"{r.dim}, got {lam.shape} and {mu.shape}"
+        )
+    return r.A_r + np.diag(mu), r.b_r + 0.5 * mu - r.E_r.T @ lam
+
+
+def _cone_failure(W: np.ndarray) -> tuple[str | None, float]:
+    """The test of the cone that W fails (None if it passes), and its
+    smallest eigenvalue (nan if an entry is not finite)."""
+    if not np.isfinite(W).all():
+        return "shifted matrix has a non-finite entry", math.nan
+    lo = float(np.linalg.eigvalsh(W)[0])
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return f"Cholesky factorization failed (min eigenvalue {lo!r})", lo
+    if lo <= PD_TOLERANCE:
+        return f"min eigenvalue {lo!r} <= {PD_TOLERANCE}", lo
+    return None, lo
+
+
+def _solve(W: np.ndarray, b: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Y solving W Y = b and the dual value -b^T Y / 2 - sum(lam), or None
+    where b is not finite or the solve breaks down."""
+    if not np.isfinite(b).all():
+        return None  # a non-finite b breaks the solve down
+    try:
+        y = np.linalg.solve(W, b)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return None
+    if not np.isfinite(y).all():
+        return None  # singular to working precision
+    return y, -0.5 * float(b @ y) - float(np.sum(lam))
+
+
+def dual_feasible(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> tuple[bool, float]:
     """Strict positive definiteness of the shifted matrix at (lam, mu):
     finite entries, Cholesky success, and the smallest eigenvalue against
     PD_TOLERANCE; returns whether the point passes and that eigenvalue.
     """
-    system._write(lam, mu)
-    failure, lo = system._cone_failure()
+    W, _ = shifted_system(r, lam, mu)
+    failure, lo = _cone_failure(W)
     return failure is None, lo
 
 
-def dual_value(system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray) -> DualEvaluation:
+def dual_value(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray) -> DualEvaluation:
     """Dual function value, recovered minimizer, and its gradient at
     (lam, mu): the cone test first, then the solve, each with its own
     NotDualFeasible message.
     """
-    system._write(lam, mu)
-    failure, lo = system._cone_failure()
+    W, b = shifted_system(r, lam, mu)
+    failure, lo = _cone_failure(W)
     if failure is not None:
         raise NotDualFeasible(failure)
-    solved = system._value(lam)
+    solved = _solve(W, b, lam)
     if solved is None:
         raise NotDualFeasible(f"the solve for Y broke down (min eigenvalue {lo!r})")
     y, value = solved
-    grad_lambda = system.r.E_r @ y - np.ones(system.r.n_multipliers)
+    grad_lambda = r.E_r @ y - np.ones(r.n_multipliers)
     grad_mu = 0.5 * (y * y - y)
     return DualEvaluation(
         lam=lam,
@@ -166,34 +160,33 @@ def default_start(r: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(r.n_multipliers), 1.0 + np.sum(np.abs(r.A_r), axis=1)
 
 
-def _barrier_point(system: ShiftedSystem, lam: np.ndarray, mu: np.ndarray):
-    """(Y, g, L) at (lam, mu), L the Cholesky factor of W - PD_TOLERANCE I;
-    None where W or b is not finite, or the factorization or the solve
+def _barrier_point(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray):
+    """(W, Y, g, L) at (lam, mu), L the Cholesky factor of W - PD_TOLERANCE
+    I; None where W or b is not finite, or the factorization or the solve
     fails."""
-    system._write(lam, mu)
-    if not np.isfinite(system.W).all():
+    W, b = shifted_system(r, lam, mu)
+    if not np.isfinite(W).all():
         return None
     try:
-        L = np.linalg.cholesky(system.W - PD_TOLERANCE * np.eye(len(mu)))
+        L = np.linalg.cholesky(W - PD_TOLERANCE * np.eye(len(mu)))
     except np.linalg.LinAlgError:
         return None
-    solved = system._value(lam)
-    return None if solved is None or not math.isfinite(solved[1]) else (*solved, L)
+    solved = _solve(W, b, lam)
+    return None if solved is None or not math.isfinite(solved[1]) else (W, *solved, L)
 
 
-def _newton_step(system: ShiftedSystem, y: np.ndarray, L: np.ndarray, t: float):
+def _newton_step(r: ReducedProblem, W: np.ndarray, y: np.ndarray, L: np.ndarray, t: float):
     """The Newton step (d_lam, d_mu) of phi = g + t logdet(S), S = W -
-    PD_TOLERANCE I, at the point written last, whose Y is y and whose S =
-    L L^T, and its squared Newton decrement; None where the Newton system
-    is not finite.  -Hessian = J^T W^-1 J + t (S^-1 o S^-1) on the mu
-    block, with J = [-E_r^T, diag(1/2 - Y)]."""
-    r = system.r
+    PD_TOLERANCE I, at the point whose shifted matrix is W, whose Y is y
+    and whose S = L L^T, and its squared Newton decrement; None where the
+    Newton system is not finite.  -Hessian = J^T W^-1 J + t (S^-1 o S^-1)
+    on the mu block, with J = [-E_r^T, diag(1/2 - Y)]."""
     m = r.n_multipliers
     J = np.hstack([-r.E_r.T, np.diag(0.5 - y)])
     try:
         L_inv = np.linalg.inv(L)
         S_inv = L_inv.T @ L_inv
-        H = J.T @ np.linalg.solve(system.W, J)
+        H = J.T @ np.linalg.solve(W, J)
         H[m:, m:] += t * S_inv * S_inv
         grad = np.concatenate([r.E_r @ y - 1.0, 0.5 * (y * y - y) + t * S_inv.diagonal()])
         step = np.linalg.solve(H, grad)
@@ -206,35 +199,34 @@ def _newton_step(system: ShiftedSystem, y: np.ndarray, L: np.ndarray, t: float):
 def dual_ascent(r: ReducedProblem) -> AscentResult:
     """Maximizes g on a log-barrier path from default_start(r): damped
     Newton on phi = g + t logdet(W - PD_TOLERANCE I) over (lam, mu), for
-    STAGES weights t, from t0 = |g0| / dim down by SHRINK each stage.  A
-    step s * (Newton step) is taken where W - PD_TOLERANCE I factors by
-    Cholesky and phi strictly rises; s halves down to MIN_STEP.  A stage
-    ends centred (decrement^2 <= CENTRED * t * dim) or when its line
-    search fails, and its end point goes through dual_value.  The
-    trajectory holds the start and each stage end that beats the last
-    recorded value; best is the last recorded point.
+    STAGES weights t, from t0 = |g0| / dim (max mu0 / dim where g0 = 0,
+    since t = 0 makes the Newton system singular) down by SHRINK each
+    stage.  A step s * (Newton step) is taken where W - PD_TOLERANCE I
+    factors by Cholesky and phi strictly rises; s halves down to MIN_STEP.
+    A stage ends centred (decrement^2 <= CENTRED * t * dim) or when its
+    line search fails, and its end point goes through dual_value.  The
+    trajectory records the start and each stage end that beats the last
+    recorded value.
 
     Termination: GradientSmall if the last stage ended centred; Stalled if
     its line search failed, or if a Newton system was not finite, which
     ends the path; LeftCone if a stage end failed the cone test, which
-    ends the path too.  All points share one ShiftedSystem.
+    ends the path too.
     """
-    system = ShiftedSystem(r)
     lam, mu = default_start(r)
     try:
-        ev = dual_value(system, lam, mu)
+        trajectory = [dual_value(r, lam, mu)]
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
-    trajectory = [(ev.value, ev.grad_norm, ev.min_eig)]
-    t = abs(ev.value) / r.dim
-    point = _barrier_point(system, lam, mu)
+    t = (abs(trajectory[0].value) or float(np.max(mu))) / r.dim
+    point = _barrier_point(r, lam, mu)
     steps = 0
     with np.errstate(all="ignore"):  # every decision tests for non-finite values
         for _ in range(STAGES):
             termination = Termination.Stalled
             while point is not None:
-                y, g, L = point
-                newton = _newton_step(system, y, L, t)
+                W, y, g, L = point
+                newton = _newton_step(r, W, y, L, t)
                 if newton is None:
                     point = None
                     break
@@ -245,9 +237,9 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
                 s = 1.0
                 while s >= MIN_STEP:
                     trial_lam, trial_mu = lam + s * d_lam, mu + s * d_mu
-                    trial = _barrier_point(system, trial_lam, trial_mu)
-                    if trial is not None and trial[1] - g + 2 * t * float(
-                        np.sum(np.log(trial[2].diagonal() / L.diagonal()))
+                    trial = _barrier_point(r, trial_lam, trial_mu)
+                    if trial is not None and trial[2] - g + 2 * t * float(
+                        np.sum(np.log(trial[3].diagonal() / L.diagonal()))
                     ) > 0:
                         break
                     s *= 0.5
@@ -256,20 +248,17 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
                 lam, mu, point = trial_lam, trial_mu, trial
                 steps += 1
             try:
-                end = dual_value(system, lam, mu)
+                end = dual_value(r, lam, mu)
             except NotDualFeasible:
                 termination = Termination.LeftCone
                 break
-            if end.value > ev.value:
-                ev = end
-                trajectory.append((ev.value, ev.grad_norm, ev.min_eig))
+            if end.value > trajectory[-1].value:
+                trajectory.append(end)
             if point is None:
                 termination = Termination.Stalled
                 break
             t /= SHRINK
-    return AscentResult(
-        best=ev, iterations=steps, trajectory=trajectory, termination=termination
-    )
+    return AscentResult(trajectory=trajectory, iterations=steps, termination=termination)
 
 
 def verify_global(

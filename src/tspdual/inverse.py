@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import check_range
-from .dual import PD_TOLERANCE, ShiftedSystem, dual_feasible
+from .dual import PD_TOLERANCE, dual_feasible, shifted_system
 from .formulation import build_formulation
 from .instance import (
     ORACLE_MAX_CITIES,
@@ -159,22 +159,22 @@ class InverseSearchReport:
 def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
     """Scalar search objective via the full formulation/reduction chain:
     smallest eigenvalue of A_r + diag(mu), penalized by optimality-margin
-    and EDM violations.  One cone test of (lam, mu) on one ShiftedSystem
-    gives that eigenvalue and whether the point is in the cone; the
-    stationarity residual max|A Ybar - b| is read from the same system.
+    and EDM violations.  One cone test of (lam, mu) gives that eigenvalue
+    and whether the point is in the cone; the stationarity residual
+    max|W Ybar - b| is read from shifted_system at the same point.
     A non-finite shifted matrix raises ValueError.
     """
     r = reduce_formulation(build_formulation(d))
     lam = np.asarray(lam, dtype=float)
     mu = eliminate_mu(r, lam)
-    system = ShiftedSystem(r)
-    in_cone, lo = dual_feasible(system, lam, mu)
+    in_cone, lo = dual_feasible(r, lam, mu)
     if math.isnan(lo):  # the cone test takes no eigenvalue of a non-finite W
         raise ValueError("the replayed shifted matrix has a non-finite entry")
     _check_pd_implies_positive_mu(lo, mu.min())
     margins = optimality_margins(d)
     edm = edm_violations(d)
     violation = float(np.sum(np.maximum(0.0, STRICTNESS_MARGIN - margins))) + edm
+    W, b = shifted_system(r, lam, mu)
     return ScoreBreakdown(
         score=lo - PENALTY_WEIGHT * violation,
         min_eig=lo,
@@ -182,9 +182,7 @@ def feasibility_score(d: DistanceMatrix, lam: np.ndarray) -> ScoreBreakdown:
         mu=mu,
         margins=margins,
         edm_violations=edm,
-        stationarity_residual=float(
-            np.max(np.abs(system.W @ default_target(r.n) - system.b))
-        ),
+        stationarity_residual=float(np.max(np.abs(W @ default_target(r.n) - b))),
     )
 
 

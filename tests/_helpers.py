@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 
-from tspdual.dual import ShiftedSystem, dual_feasible
+from tspdual.dual import dual_feasible
 
 
 def sample_splus(r, rng, scale=2.0):
@@ -12,7 +12,7 @@ def sample_splus(r, rng, scale=2.0):
     while True:
         lam = rng.normal(scale=scale, size=r.n_multipliers)
         mu = base + rng.normal(scale=scale, size=r.dim)
-        ok, _ = dual_feasible(ShiftedSystem(r), lam, mu)
+        ok, _ = dual_feasible(r, lam, mu)
         if ok:
             return lam, mu
 

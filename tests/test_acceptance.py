@@ -11,7 +11,7 @@ import pytest
 
 from _helpers import sample_splus
 from tspdual.cli import main
-from tspdual.dual import ShiftedSystem, Verdict, dual_ascent, dual_value, verify_global
+from tspdual.dual import Verdict, dual_ascent, dual_value, verify_global
 from tspdual.formulation import build_formulation, encode_tour, objective
 from tspdual.instance import (
     Tour,
@@ -109,7 +109,7 @@ def test_criterion_5_weak_duality():
         optimum = brute_force_optimum(d).best_length
         rng = np.random.default_rng(1000 + seed)
         for _ in range(1000):
-            ev = dual_value(ShiftedSystem(r), *sample_splus(r, rng))
+            ev = dual_value(r, *sample_splus(r, rng))
             if ev.value > optimum + 1e-8:
                 violations += 1
     elapsed = time.perf_counter() - t0
@@ -126,7 +126,7 @@ def test_criterion_6_gradient_check():
     worst = 0.0
     for _ in range(100):
         lam, mu = sample_splus(r, rng)
-        ev = dual_value(ShiftedSystem(r), lam, mu)
+        ev = dual_value(r, lam, mu)
         grad = np.concatenate([ev.grad_lambda, ev.grad_mu])
         fd = np.zeros_like(grad)
         for i in range(grad.size):
@@ -139,8 +139,8 @@ def test_criterion_6_gradient_check():
                 mu_p[i - 5] += h
                 mu_m[i - 5] -= h
             fd[i] = (
-                dual_value(ShiftedSystem(r), lam_p, mu_p).value
-                - dual_value(ShiftedSystem(r), lam_m, mu_m).value
+                dual_value(r, lam_p, mu_p).value
+                - dual_value(r, lam_m, mu_m).value
             ) / (2 * h)
         rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
         worst = max(worst, rel)
@@ -151,7 +151,7 @@ def test_criterion_6_gradient_check():
 def test_criterion_7_dual_ascent_sanity(unit_square):
     r = reduce_formulation(build_formulation(unit_square))
     res = dual_ascent(r)
-    values = [v for v, _, _ in res.trajectory]
+    values = [ev.value for ev in res.trajectory]
     assert all(b >= a for a, b in zip(values, values[1:]))
     optimum = brute_force_optimum(unit_square).best_length
     assert res.best.value <= optimum

@@ -160,10 +160,16 @@ class TestDual:
         ],
     )
     def test_trace_starts_at_the_default_start(self, tmp_path, n, seed, row):
-        # row 0 is the start, with the bytes the gradient ascent wrote for it
+        # row 0 is the start, with the bytes the gradient ascent wrote for
+        # it; the last row is the barrier path's end, pinned to its bytes too
+        last = {
+            (4, 3): "8,0.14223438267554012,0.3318426334241493,2.0914937457862854e-10",
+            (10, 0): "8,-29.82589359351549,0.4452507162506279,2.1052670716141723e-10",
+        }[n, seed]
         out = tmp_path / "out"
         assert main(["dual", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
-        assert (out / "trace.csv").read_text().splitlines()[1] == row
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert (rows[1], rows[-1]) == (row, last)
 
     def test_huge_distances_end_without_traceback(self, tmp_path, capsys):
         # the sum is finite, but Y overflows at this scale; a non-finite Y

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import sample_splus
 from tspdual import dual
 from tspdual.cli import _run_dual
 from tspdual.dual import (
     DualEvaluation,
-    ShiftedSystem,
     Termination,
     Verdict,
     default_start,
     dual_ascent,
     dual_feasible,
     dual_value,
+    shifted_system,
     verify_global,
 )
 from tspdual.errors import NotDualFeasible, TspdualError
@@ -24,6 +26,7 @@ from tspdual.instance import (
     Tour,
     brute_force_optimum,
     random_euclidean_instance,
+    validate_distance_matrix,
 )
 from tspdual.reduction import (
     ReducedProblem,
@@ -117,18 +120,16 @@ def assert_same_evaluation(ev, ref):
 
 
 class TestAssemble:
-    """ShiftedSystem's assembly of A_r + diag(mu) and b at each point."""
+    """shifted_system's assembly of A_r + diag(mu) and b at each point."""
 
     def test_zero_multipliers(self, reduced):
-        system = ShiftedSystem(reduced)
-        dual_feasible(system, np.zeros(5), np.zeros(9))
-        assert np.array_equal(system.W, reduced.A_r)
-        assert np.array_equal(system.b, reduced.b_r)
+        W, b = shifted_system(reduced, np.zeros(5), np.zeros(9))
+        assert np.array_equal(W, reduced.A_r)
+        assert np.array_equal(b, reduced.b_r)
 
     def test_uniform_shift(self, reduced):
-        system = ShiftedSystem(reduced)
-        dual_feasible(system, np.zeros(5), 3.0 * np.ones(9))
-        assert np.array_equal(system.W, reduced.A_r + 3.0 * np.eye(9))
+        W, _ = shifted_system(reduced, np.zeros(5), 3.0 * np.ones(9))
+        assert np.array_equal(W, reduced.A_r + 3.0 * np.eye(9))
 
     def test_stationarity_row_two(self, distinct_d4):
         # at Y-bar for the identity tour, the second stationarity row reads
@@ -138,21 +139,19 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         lam = rng.normal(size=5)
         mu = rng.normal(size=9)
-        system = ShiftedSystem(r)
-        dual_feasible(system, lam, mu)
-        assert system.W.tobytes() == (r.A_r + np.diag(mu)).tobytes()
-        lhs = (system.W @ ybar)[1]
+        W, b = shifted_system(r, lam, mu)
+        assert W.tobytes() == (r.A_r + np.diag(mu)).tobytes()
+        lhs = (W @ ybar)[1]
         assert lhs == 0.0  # Y-bar_2 = 0 and the A_r row is orthogonal
         d13 = distinct_d4.entries[0, 2]
-        assert system.b[1] == pytest.approx(
+        assert b[1] == pytest.approx(
             -d13 + 0.5 * mu[1] - (lam[0] + lam[4]), abs=1e-14
         )
 
     def test_dimension_mismatch(self, reduced):
-        system = ShiftedSystem(reduced)
-        for fn in (dual_feasible, dual_value):
+        for fn in (shifted_system, dual_feasible, dual_value):
             with pytest.raises(ValueError) as exc:
-                fn(system, np.zeros(4), np.zeros(9))
+                fn(reduced, np.zeros(4), np.zeros(9))
             assert str(exc.value) == (
                 "expected lambda length 5 and mu length 9, got (4,) and (9,)"
             )
@@ -161,22 +160,22 @@ class TestAssemble:
 class TestDualFeasible:
     def test_diagonal_dominance(self, reduced):
         mu = 1.0 + np.abs(reduced.A_r).sum(axis=1)
-        ok, lo = dual_feasible(ShiftedSystem(reduced), np.ones(5), mu)
+        ok, lo = dual_feasible(reduced, np.ones(5), mu)
         assert ok and lo > 0
 
     def test_zero_mu_indefinite(self, reduced):
-        ok, lo = dual_feasible(ShiftedSystem(reduced), np.zeros(5), np.zeros(9))
+        ok, lo = dual_feasible(reduced, np.zeros(5), np.zeros(9))
         assert not ok and lo < 0
 
     def test_negative_mu(self, reduced):
-        ok, _ = dual_feasible(ShiftedSystem(reduced), np.zeros(5), -np.ones(9))
+        ok, _ = dual_feasible(reduced, np.zeros(5), -np.ones(9))
         assert not ok
 
 
 class TestDualValue:
     def test_rejects_infeasible(self, reduced):
         with pytest.raises(NotDualFeasible):
-            dual_value(ShiftedSystem(reduced), np.zeros(5), np.zeros(9))
+            dual_value(reduced, np.zeros(5), np.zeros(9))
 
     @pytest.mark.parametrize(
         "shift, failure",
@@ -190,28 +189,29 @@ class TestDualValue:
     def test_rejection_names_the_failed_test(self, identity_fixture, shift, failure):
         r, _ = identity_fixture  # A_r = I, so the shifted matrix is (1 + shift) I
         lam, mu = np.zeros(5), np.full(9, shift)
-        assert not dual_feasible(ShiftedSystem(r), lam, mu)[0]
+        assert not dual_feasible(r, lam, mu)[0]
         with pytest.raises(NotDualFeasible, match=failure):
-            dual_value(ShiftedSystem(r), lam, mu)
+            dual_value(r, lam, mu)
 
     def test_large_uniform_mu_bound(self, reduced):
         # the value is nonpositive and bounded by the quadratic-form bound
         for M in (10.0, 100.0, 1000.0):
-            system = ShiftedSystem(reduced)
-            ev = dual_value(system, np.zeros(5), M * np.ones(9))
+            lam, mu = np.zeros(5), M * np.ones(9)
+            ev = dual_value(reduced, lam, mu)
+            _, b = shifted_system(reduced, lam, mu)
             assert ev.value <= 0.0
-            assert abs(ev.value) <= float(system.b @ system.b) / (2 * ev.min_eig)
+            assert abs(ev.value) <= float(b @ b) / (2 * ev.min_eig)
 
     def test_weak_duality_sampled(self, reduced, unit_square):
         optimum = brute_force_optimum(unit_square).best_length
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ev = dual_value(ShiftedSystem(reduced), *sample_splus(reduced, rng))
+            ev = dual_value(reduced, *sample_splus(reduced, rng))
             assert ev.value <= optimum + 1e-8
 
     def test_gradient_residual_form(self, identity_fixture):
         r, ybar = identity_fixture
-        ev = dual_value(ShiftedSystem(r), np.zeros(5), np.zeros(9))
+        ev = dual_value(r, np.zeros(5), np.zeros(9))
         assert np.array_equal(ev.Y, ybar)
         assert np.array_equal(ev.grad_lambda, np.zeros(5))
         assert np.array_equal(ev.grad_mu, np.zeros(9))
@@ -221,7 +221,7 @@ class TestDualValue:
         h = 1e-6
         for _ in range(20):
             p_lam, p_mu = sample_splus(reduced, rng)
-            ev = dual_value(ShiftedSystem(reduced), p_lam, p_mu)
+            ev = dual_value(reduced, p_lam, p_mu)
             grad = np.concatenate([ev.grad_lambda, ev.grad_mu])
             fd = np.zeros_like(grad)
             for i in range(5 + 9):
@@ -232,7 +232,7 @@ class TestDualValue:
                         lam[i] += sgn * h
                     else:
                         mu[i - 5] += sgn * h
-                    fd[i] += w * dual_value(ShiftedSystem(reduced), lam, mu).value
+                    fd[i] += w * dual_value(reduced, lam, mu).value
             fd /= 2 * h
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(
                 1.0, np.linalg.norm(grad)
@@ -261,12 +261,12 @@ class TestDualValue:
             p = sample_splus(reduced, rng)
             q = sample_splus(reduced, rng)
             mid = 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
-            ok, _ = dual_feasible(ShiftedSystem(reduced), *mid)
+            ok, _ = dual_feasible(reduced, *mid)
             assert ok  # S+ is convex, so midpoints stay inside
-            g_mid = dual_value(ShiftedSystem(reduced), *mid).value
+            g_mid = dual_value(reduced, *mid).value
             g_avg = 0.5 * (
-                dual_value(ShiftedSystem(reduced), *p).value
-                + dual_value(ShiftedSystem(reduced), *q).value
+                dual_value(reduced, *p).value
+                + dual_value(reduced, *q).value
             )
             assert g_mid >= g_avg - 1e-9
 
@@ -276,7 +276,7 @@ class TestDualValue:
         q = sample_splus(reduced, rng)
         for a in np.linspace(0.0, 1.0, 11):
             comb = a * p[0] + (1 - a) * q[0], a * p[1] + (1 - a) * q[1]
-            ok, _ = dual_feasible(ShiftedSystem(reduced), *comb)
+            ok, _ = dual_feasible(reduced, *comb)
             assert ok
 
 
@@ -300,10 +300,10 @@ class TestDualValueFloor:
                         ref = reference_dual_value(r, *p)
                     except NotDualFeasible as exc:
                         with pytest.raises(NotDualFeasible) as got:
-                            dual_value(ShiftedSystem(r), *p)
+                            dual_value(r, *p)
                         assert str(got.value) == str(exc)
                     else:
-                        assert_same_evaluation(dual_value(ShiftedSystem(r), *p), ref)
+                        assert_same_evaluation(dual_value(r, *p), ref)
 
     @pytest.mark.parametrize(
         "lam, mu, failure",
@@ -322,7 +322,7 @@ class TestDualValueFloor:
             with pytest.raises(NotDualFeasible, match=failure) as ref:
                 reference_dual_value(r, lam, mu)
             with pytest.raises(NotDualFeasible) as got:
-                dual_value(ShiftedSystem(r), lam, mu)
+                dual_value(r, lam, mu)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize(
@@ -335,7 +335,7 @@ class TestDualValueFloor:
         r, _ = identity_fixture
         lam, mu = np.array([sign * 1e308, sign * 1e308, 0.0, 0.0, 0.0]), np.zeros(9)
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = dual_value(ShiftedSystem(r), lam, mu)
+            ev = dual_value(r, lam, mu)
             ref = reference_dual_value(r, lam, mu)
         assert_same_evaluation(ev, ref)
         assert np.isfinite(ev.Y).all()
@@ -347,20 +347,20 @@ def cone_tests(monkeypatch):
     """Every cone test run while the fixture is active, as (W, its result,
     whether it attempted Cholesky)."""
     records, attempts = [], []
-    cholesky, cone = np.linalg.cholesky, ShiftedSystem._cone_failure
+    cholesky, cone = np.linalg.cholesky, dual._cone_failure
 
     def counted_cholesky(a):
         attempts.append(None)
         return cholesky(a)
 
-    def recorded(self):
-        W, before = self.W.copy(), len(attempts)
-        result = cone(self)
+    def recorded(W):
+        before = len(attempts)
+        result = cone(W)
         records.append((W, result, len(attempts) > before))
         return result
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    monkeypatch.setattr(ShiftedSystem, "_cone_failure", recorded)
+    monkeypatch.setattr(dual, "_cone_failure", recorded)
     return records
 
 
@@ -371,6 +371,17 @@ def assert_reference_cone_tests(records):
     for W, (failure, lo), attempted in records:
         assert attempted is bool(np.isfinite(W).all())
         assert repr((failure, lo)) == repr(reference_cone_failure(W))
+
+
+@st.composite
+def small_integer_instances(draw):
+    """n = 3..6 cities with symmetric integer distances in 0..5."""
+    n = draw(st.integers(3, 6))
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = draw(st.integers(0, 5))
+    return validate_distance_matrix(mat)
 
 
 def scaled_reduced(n, seed, scale):
@@ -405,19 +416,30 @@ class TestDualAscent:
         assert res.best.value >= REFERENCE_ASCENT_BOUNDS[n][seed]
         assert res.termination is Termination.GradientSmall
         assert dual.STAGES < res.iterations < 50
-        values = [v for v, _, _ in res.trajectory]
+        values = [ev.value for ev in res.trajectory]
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert res.trajectory[-1] == (res.best.value, res.best.grad_norm, res.best.min_eig)
-        # the path's best evaluation is the one a fresh solve at its point gives
-        ref = reference_dual_value(r, res.best.lam, res.best.mu)
-        assert_same_evaluation(res.best, ref)
+        # each recorded evaluation is the one a fresh solve at its point gives
+        for ev in res.trajectory:
+            assert_same_evaluation(ev, reference_dual_value(r, ev.lam, ev.mu))
         optimum = brute_force_optimum(random_euclidean_instance(n, seed)[0]).best_length
         assert res.best.value <= optimum
         assert verify_global(r, res.best, optimum) is Verdict.NotCriticalPoint
 
+    @settings(max_examples=100, deadline=None)
+    # the unit equilateral triangle: its start has b = 0, so g0 = 0
+    @example(d=validate_distance_matrix(1.0 - np.eye(3)))
+    @given(d=small_integer_instances())
+    def test_ends_centred_below_the_optimum(self, d):
+        res = dual_ascent(reduce_formulation(build_formulation(d)))
+        assert res.termination is Termination.GradientSmall
+        values = [ev.value for ev in res.trajectory]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        optimum = brute_force_optimum(d).best_length
+        assert res.best.value <= optimum * (1 + 1e-9)
+
     def test_trajectory_nondecreasing(self, reduced):
         res = dual_ascent(reduced)
-        values = [v for v, _, _ in res.trajectory]
+        values = [ev.value for ev in res.trajectory]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_bound_below_optimum(self, reduced, unit_square):
@@ -426,7 +448,7 @@ class TestDualAscent:
 
     def test_rejects_infeasible_start(self, reduced, monkeypatch):
         start = np.zeros(5), np.zeros(9)
-        lo = dual_feasible(ShiftedSystem(reduced), *start)[1]
+        lo = dual_feasible(reduced, *start)[1]
         monkeypatch.setattr(dual, "default_start", lambda r: start)
         with pytest.raises(TspdualError) as exc:
             dual_ascent(reduced)
@@ -448,7 +470,7 @@ class TestDualAscent:
     )
     def test_start_rejection_names_the_failed_test(self, n, seed, scale, failure, cone_tests):
         r = scaled_reduced(n, seed, scale)
-        lo = dual_feasible(ShiftedSystem(r), *default_start(r))[1]
+        lo = dual_feasible(r, *default_start(r))[1]
         with pytest.raises(TspdualError) as exc:
             dual_ascent(r)
         assert type(exc.value) is TspdualError
@@ -483,7 +505,6 @@ class TestDualAscent:
         assert res.termination is termination
         assert iterations is None or res.iterations == iterations
         assert len(res.trajectory) == recorded
-        assert res.trajectory[-1][0] == res.best.value
         assert len(cone_tests) == 1 + stage_ends
         assert_reference_cone_tests(cone_tests)
 
@@ -491,7 +512,7 @@ class TestDualAscent:
         for seed in range(5):
             d, _ = random_euclidean_instance(4, seed)
             r = reduce_formulation(build_formulation(d))
-            ok, _ = dual_feasible(ShiftedSystem(r), *default_start(r))
+            ok, _ = dual_feasible(r, *default_start(r))
             assert ok
 
 
@@ -507,10 +528,10 @@ class TestConeCertificate:
             # the instance scaled, then its own start: the start's + 1 is
             # lost to rounding at large k
             r = scaled_reduced(n, 0, scale)
-            dual_feasible(ShiftedSystem(r), *default_start(r))
+            dual_feasible(r, *default_start(r))
             # the start scaled with its instance: W scales exactly
             mu = scale * default_start(euclidean_reduced(n, 0))[1]
-            dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu)
+            dual_feasible(r, np.zeros(r.n_multipliers), mu)
         assert_reference_cone_tests(cone_tests)
 
     @pytest.mark.parametrize("n", range(4, 11))
@@ -520,7 +541,7 @@ class TestConeCertificate:
         mu = mu - np.linalg.eigvalsh(r.A_r + np.diag(mu))[0]  # lambda_min about 0
         for delta in (0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9):
             for shift in (delta, -delta):
-                dual_feasible(ShiftedSystem(r), np.zeros(r.n_multipliers), mu + shift)
+                dual_feasible(r, np.zeros(r.n_multipliers), mu + shift)
         assert_reference_cone_tests(cone_tests)
         # the edge points fall on both sides of the test
         assert {failure is None for _, (failure, _), _ in cone_tests} == {True, False}
@@ -548,7 +569,7 @@ class TestVerifyGlobal:
     def test_identity_fixture_confirms(self, identity_fixture):
         r, ybar = identity_fixture
         target_value = reduced_objective(r, ybar)
-        ev = dual_value(ShiftedSystem(r), np.zeros(5), np.zeros(9))
+        ev = dual_value(r, np.zeros(5), np.zeros(9))
         verdict = verify_global(r, ev, target_value)
         assert verdict is Verdict.ConfirmsTheorem2
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _helpers import assert_metric
 from tspdual import inverse
 from tspdual.cli import cmd_inverse, main
-from tspdual.dual import ShiftedSystem, dual_feasible
+from tspdual.dual import dual_feasible
 from tspdual.errors import ConfigError
 from tspdual.formulation import build_formulation
 from tspdual.instance import (
@@ -86,7 +86,7 @@ class TestEliminateMu:
             assert len(eigensolves) == before + 1
             assert breakdown.stationarity_residual == residual
             assert breakdown.min_eig == eigvalsh(A)[0]
-            assert breakdown.in_cone == dual_feasible(ShiftedSystem(r), lam, mu)[0]
+            assert breakdown.in_cone == dual_feasible(r, lam, mu)[0]
 
 
 def reversal(n):

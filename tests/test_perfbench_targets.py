@@ -10,7 +10,7 @@ import pytest
 
 from tspdual import inverse
 from tspdual.cli import _run_dual
-from tspdual.dual import ShiftedSystem, default_start
+from tspdual.dual import default_start
 from tspdual.formulation import build_formulation
 from tspdual.instance import random_euclidean_instance
 from tspdual.reduction import reduce_formulation
@@ -32,7 +32,7 @@ def traced_targets():
 # per noted target: a call on the reduced problem r, as the package makes it
 NOTED_CALLS = {
     "dual_ascent": lambda fn, r: fn(r),
-    "dual_feasible": lambda fn, r: fn(ShiftedSystem(r), *default_start(r)),
+    "dual_feasible": lambda fn, r: fn(r, *default_start(r)),
 }
 
 
