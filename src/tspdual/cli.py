@@ -18,6 +18,7 @@ import json
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,7 @@ COMMANDS = [
 ]
 
 
+@lru_cache(maxsize=None)  # one parser per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tspdual",

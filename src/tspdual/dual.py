@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+# the gufuncs behind np.linalg; under errstate(invalid="ignore") a failure is all NaN
+from numpy.linalg._umath_linalg import cholesky_lo, inv, solve, solve1
 
 from .errors import NotDualFeasible, TspdualError
 from .reduction import ReducedProblem, reduced_objective
@@ -107,12 +109,10 @@ def _solve(W: np.ndarray, b: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, f
     where b is not finite or the solve breaks down."""
     if not np.isfinite(b).all():
         return None  # a non-finite b breaks the solve down
-    try:
-        y = np.linalg.solve(W, b)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        return None
+    with np.errstate(invalid="ignore"):  # an exactly zero pivot gives NaN
+        y = solve1(W, b)
     if not np.isfinite(y).all():
-        return None  # singular to working precision
+        return None  # singular, exactly or to working precision
     return y, -0.5 * float(b @ y) - float(np.sum(lam))
 
 
@@ -167,31 +167,38 @@ def _barrier_point(r: ReducedProblem, lam: np.ndarray, mu: np.ndarray):
     W, b = shifted_system(r, lam, mu)
     if not np.isfinite(W).all():
         return None
-    try:
-        L = np.linalg.cholesky(W - PD_TOLERANCE * np.eye(len(mu)))
-    except np.linalg.LinAlgError:
+    S = W.copy()
+    S.flat[:: len(S) + 1] -= PD_TOLERANCE  # w - 0.0 = w off the diagonal
+    with np.errstate(invalid="ignore"):
+        L = cholesky_lo(S)
+    if np.isnan(L[0, 0]):  # the factorization failed
         return None
     solved = _solve(W, b, lam)
     return None if solved is None or not math.isfinite(solved[1]) else (W, *solved, L)
 
 
-def _newton_step(r: ReducedProblem, W: np.ndarray, y: np.ndarray, L: np.ndarray, t: float):
-    """The Newton step (d_lam, d_mu) of phi = g + t logdet(S), S = W -
-    PD_TOLERANCE I, at the point whose shifted matrix is W, whose Y is y
-    and whose S = L L^T, and its squared Newton decrement; None where the
-    Newton system is not finite.  -Hessian = J^T W^-1 J + t (S^-1 o S^-1)
-    on the mu block, with J = [-E_r^T, diag(1/2 - Y)]."""
-    m = r.n_multipliers
+def _newton_terms(r: ReducedProblem, W: np.ndarray, y: np.ndarray, L: np.ndarray):
+    """(J^T W^-1 J, S^-1) with J = [-E_r^T, diag(1/2 - Y)] at the point whose
+    shifted matrix is W, whose Y is y and whose S = W - PD_TOLERANCE I is L L^T:
+    the Newton terms that do not depend on t, NaN where inv or solve fails."""
     J = np.hstack([-r.E_r.T, np.diag(0.5 - y)])
-    try:
-        L_inv = np.linalg.inv(L)
-        S_inv = L_inv.T @ L_inv
-        H = J.T @ np.linalg.solve(W, J)
-        H[m:, m:] += t * S_inv * S_inv
-        grad = np.concatenate([r.E_r @ y - 1.0, 0.5 * (y * y - y) + t * S_inv.diagonal()])
-        step = np.linalg.solve(H, grad)
-    except np.linalg.LinAlgError:  # a non-finite or exactly singular system
-        return None
+    with np.errstate(invalid="ignore"):
+        L_inv = inv(L)
+        return J.T @ solve(W, J), L_inv.T @ L_inv
+
+
+def _newton_step(r: ReducedProblem, y: np.ndarray, terms, t: float):
+    """The Newton step (d_lam, d_mu) of phi = g + t logdet(S) at the point
+    whose Y is y and whose _newton_terms are terms, and its squared Newton
+    decrement; None where the Newton system is not finite or is exactly
+    singular.  -Hessian = J^T W^-1 J + t (S^-1 o S^-1) on the mu block."""
+    m = r.n_multipliers
+    JWJ, S_inv = terms
+    H = JWJ.copy()
+    H[m:, m:] += t * S_inv * S_inv
+    grad = np.concatenate([r.E_r @ y - 1.0, 0.5 * (y * y - y) + t * S_inv.diagonal()])
+    with np.errstate(invalid="ignore"):
+        step = solve1(H, grad)
     decrement2 = float(grad @ step)
     return (step[:m], step[m:], decrement2) if math.isfinite(decrement2) else None
 
@@ -219,14 +226,16 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
     except NotDualFeasible as exc:
         raise TspdualError(f"start is not dual feasible: {exc}") from None
     t = (abs(trajectory[0].value) or float(np.max(mu))) / r.dim
-    point = _barrier_point(r, lam, mu)
+    point, terms = _barrier_point(r, lam, mu), None
     steps = 0
     with np.errstate(all="ignore"):  # every decision tests for non-finite values
         for _ in range(STAGES):
             termination = Termination.Stalled
             while point is not None:
                 W, y, g, L = point
-                newton = _newton_step(r, W, y, L, t)
+                if terms is None:  # once per point, whatever t is
+                    terms = _newton_terms(r, W, y, L)
+                newton = _newton_step(r, y, terms, t)
                 if newton is None:
                     point = None
                     break
@@ -245,7 +254,7 @@ def dual_ascent(r: ReducedProblem) -> AscentResult:
                     s *= 0.5
                 else:
                     break  # the line search failed
-                lam, mu, point = trial_lam, trial_mu, trial
+                lam, mu, point, terms = trial_lam, trial_mu, trial, None
                 steps += 1
             try:
                 end = dual_value(r, lam, mu)

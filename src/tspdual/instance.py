@@ -126,23 +126,26 @@ def require_oracle_size(n: int) -> None:
 def canonical_tours(n: int) -> np.ndarray:
     """Every tour once, as a read-only (tours, n) array of 0-based cities in
     lexicographic order: the canonical_tour of each, city 1 first and the
-    second city below the last.
+    second city below the last.  Column-major: a tour position is a column.
     """
     require_oracle_size(n)
     flat = itertools.chain.from_iterable(itertools.permutations(range(1, n)))
     rest = np.fromiter(flat, dtype=np.int8).reshape(-1, n - 1)
-    tours = np.insert(rest[rest[:, 0] < rest[:, -1]], 0, 0, axis=1)
+    rest = rest[rest[:, 0] < rest[:, -1]]
+    tours = np.zeros((len(rest), n), dtype=np.int8, order="F")  # city 1 first
+    tours[:, 1:] = rest
     tours.flags.writeable = False
     return tours
 
 
 def tour_lengths(d: DistanceMatrix) -> np.ndarray:
     """Cyclic length of each row of canonical_tours(d.n), summed in tour
-    order from 0.0 as tour_length does, so the two agree bit for bit."""
+    order from 0.0 as tour_length does, so the two agree bit for bit.  A
+    position is one gather of entries i * n + j, an int8 at most n^2 - 1."""
     n, tours = d.n, canonical_tours(d.n)
     lengths = np.zeros(len(tours))
     for j in range(n):
-        lengths += d.entries[tours[:, j], tours[:, (j + 1) % n]]
+        lengths += d.entries.take(tours[:, j] * n + tours[:, (j + 1) % n])
     return lengths
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -720,3 +723,22 @@ def test_readme_cli_block_matches_command_table():
     end = lines.index("```", begin)
     names = [line.split()[1] for line in lines[begin + 1:end]]
     assert names == [row[0] for row in cli.COMMANDS]
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # every command pays this import; setup time is measured on a fresh
+    # interpreter, so a heavy module pulled in here should fail a test
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import json, sys; before = set(sys.modules); import tspdual.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    assert "tspdual.cli" in loaded
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) == {"numpy", "tspdual"}
+    assert not tops & {"scipy", "concurrent", "multiprocessing"}

@@ -508,6 +508,45 @@ class TestDualAscent:
         assert len(cone_tests) == 1 + stage_ends
         assert_reference_cone_tests(cone_tests)
 
+    # each failure of the barrier path forced through the real gufunc, fed
+    # an all-zero matrix in place of its operand (W, S = L L^T, L or the
+    # Newton matrix H): the gufunc returns NaN, which the path reads as the
+    # failure that np.linalg raised for
+    @pytest.mark.parametrize(
+        "name, operand",
+        [("solve1", "W"), ("cholesky_lo", "S"), ("inv", "L"), ("solve1", "H")],
+        ids=["singular-W", "failed-factor", "nan-inverse", "singular-H"],
+    )
+    def test_failure_routes_end_stalled(self, name, operand, monkeypatch):
+        # no warning may fire (pytest runs with filterwarnings = error);
+        # stage ends go through the reference, so only the barrier path
+        # meets the forced failure
+        r = euclidean_reduced(5, 1)
+        size = r.dim + r.n_multipliers if operand == "H" else r.dim
+        real, forced = getattr(dual, name), []
+
+        def failing(a, *rest):
+            if len(a) != size:
+                return real(a, *rest)
+            out = real(np.zeros_like(a), *rest)
+            forced.append(bool(np.isnan(out).all()))
+            return out
+
+        monkeypatch.setattr(dual, name, failing)
+        monkeypatch.setattr(dual, "dual_value", reference_dual_value)
+        res = dual_ascent(r)
+        assert res.termination is Termination.Stalled
+        assert res.iterations == 0 and len(res.trajectory) == 1
+        # the same route outside the path's errstate, at the start point
+        lam, mu = default_start(r)
+        point = dual._barrier_point(r, lam, mu)
+        if operand in ("L", "H"):
+            W, y, _, L = point
+            assert dual._newton_step(r, y, dual._newton_terms(r, W, y, L), 1.0) is None
+        else:
+            assert point is None
+        assert forced and all(forced)
+
     def test_default_start_feasible(self):
         for seed in range(5):
             d, _ = random_euclidean_instance(4, seed)
@@ -548,21 +587,31 @@ class TestConeCertificate:
 
     def test_linalg_calls_pinned(self, monkeypatch):
         counts = dict.fromkeys(("eigvalsh", "solve", "cholesky", "inv"), 0)
-        for name in counts:
-            fn = getattr(np.linalg, name)
+        # each count covers np.linalg and the gufuncs behind it that dual
+        # calls directly
+        targets = [(np.linalg, name, name) for name in counts] + [
+            (dual, "cholesky_lo", "cholesky"),
+            (dual, "solve", "solve"),
+            (dual, "solve1", "solve"),
+            (dual, "inv", "inv"),
+        ]
+        for module, attr, name in targets:
+            fn = getattr(module, attr)
 
             def counted(*args, _fn=fn, _name=name):
                 counts[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, attr, counted)
         # the whole dual command: the verifier reads the path's best
         # evaluation and adds no solve or eigensolve.  29 Newton steps:
-        # 9 cone tests (the start and 8 stage ends), 37 Newton systems (an
-        # inverse and two solves each), 1 + 100 barrier factorizations of
+        # 9 cone tests (the start and 8 stage ends) with a solve each; 30
+        # points that pay one inverse and one Newton system (the start and
+        # each accepted step), and 37 Newton solves (one per step and one
+        # per stage that ends centred); 1 + 100 barrier factorizations of
         # which 31 pass and pay a solve
         _run_dual(random_euclidean_instance(10, 0)[0])
-        assert counts == {"eigvalsh": 9, "solve": 114, "cholesky": 110, "inv": 37}
+        assert counts == {"eigvalsh": 9, "solve": 107, "cholesky": 110, "inv": 30}
 
 
 class TestVerifyGlobal:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _helpers import assert_metric
 from tspdual.errors import InstanceError, TspdualError
 from tspdual.instance import (
+    ORACLE_MAX_CITIES,
     Tour,
     brute_force_optimum,
     canonical_tour,
@@ -208,6 +209,26 @@ class TestOracle:
         table = canonical_tours(n)
         assert [tuple(int(c) + 1 for c in row) for row in table] == sorted(every)
         assert not table.flags.writeable
+        assert table.flags.f_contiguous  # each tour position is one column
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("kind", ["euclidean", "ties", "negative-zero"])
+    def test_tour_lengths_match_the_fancy_index_sum_bitwise(self, n, kind):
+        d, _ = random_euclidean_instance(n, 200 + n)
+        if kind == "ties":
+            d = validate_distance_matrix(np.ones((n, n)) - np.eye(n))
+        elif kind == "negative-zero":  # -0.0 on the diagonal and on some edges
+            mat = d.entries.copy()
+            edges = np.triu(np.random.default_rng(n).random((n, n)) < 0.3, 1)
+            mat[edges | edges.T] = -0.0
+            np.fill_diagonal(mat, -0.0)
+            d = validate_distance_matrix(mat)
+            assert np.signbit(d.entries[edges]).all()
+        tours = canonical_tours(n)
+        reference = np.zeros(len(tours))
+        for j in range(n):
+            reference += d.entries[tours[:, j], tours[:, (j + 1) % n]]
+        assert tour_lengths(d).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["euclidean", "nonmetric"])
@@ -226,6 +247,12 @@ class TestOracle:
         with pytest.raises(InstanceError) as exc:
             brute_force_optimum(d)
         assert str(exc.value) == "n = 11 exceeds enumeration guard 10"
+
+    def test_gather_index_fits_the_table_dtype(self):
+        # tour_lengths gathers entry i * n + j with the table's int8 cities;
+        # a guard raised past 11 cities would wrap that index silently
+        assert canonical_tours(ORACLE_MAX_CITIES).dtype == np.int8
+        assert ORACLE_MAX_CITIES**2 - 1 <= np.iinfo(np.int8).max
 
     def test_beats_random_tours(self):
         d, _ = random_euclidean_instance(6, 42)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _helpers import assert_metric
-from tspdual import inverse
+from tspdual import dual, inverse
 from tspdual.cli import cmd_inverse, main
 from tspdual.dual import dual_feasible
 from tspdual.errors import ConfigError
@@ -584,6 +584,25 @@ class TestBoundPruning:
         with pytest.raises(FloatingPointError):  # the flag errstate silences
             with np.errstate(invalid="raise"):
                 inverse.cholesky_lo(np.array(mats))
+
+    @pytest.mark.parametrize("name", ["inv", "solve", "solve1"])
+    def test_solve_gufuncs_mark_singular_matrices(self, name):
+        # dual's barrier path reads a failed inverse or solve as an all-NaN
+        # result from the gufuncs behind np.linalg.inv and np.linalg.solve
+        rng = np.random.default_rng(4)
+        dim = 9
+        regular = rng.normal(size=(dim, dim)) + dim * np.eye(dim)
+        singular = np.ones((dim, dim))  # an exactly zero pivot
+        rhs = {"inv": (), "solve": (rng.normal(size=(dim, 3)),), "solve1": (rng.normal(size=dim),)}
+        reference = np.linalg.inv if name == "inv" else np.linalg.solve
+        gufunc = getattr(dual, name)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(gufunc(singular, *rhs[name])).all()
+        with pytest.raises(FloatingPointError):  # the flag errstate silences
+            with np.errstate(invalid="raise"):
+                gufunc(singular, *rhs[name])
+        got, want = gufunc(regular, *rhs[name]), reference(regular, *rhs[name])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_eigensolve_count_pinned(self, monkeypatch):
         # rows that reach eigvalsh in a whole n = 7 search: 4736 with the
