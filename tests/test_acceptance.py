@@ -155,7 +155,7 @@ def test_criterion_7_dual_ascent_sanity(unit_square):
     assert all(b >= a for a, b in zip(values, values[1:]))
     optimum = brute_force_optimum(unit_square).best_length
     assert res.best.value <= optimum
-    verdict = verify_global(r, res.best, optimum)
+    verdict = verify_global(res.best, optimum)
     assert verdict is not None
     # the expected negative outcome: no binary recovery
     ev = res.best

@@ -197,7 +197,7 @@ class TestDual:
         out = tmp_path / "out"
         assert main(["dual", "--instance", unit_square_file, "--out", str(out)]) == 10
         assert capsys.readouterr().err == (
-            "COUNTEREXAMPLE: dual critical point recovered a binary optimal tour; "
+            "COUNTEREXAMPLE: dual critical point reaches the optimum tour length; "
             "see gap_record.json\n"
         )
         assert read_json(out / "gap_record.json")["verdict"] == "ConfirmsTheorem2"
@@ -427,7 +427,7 @@ class TestExperiment:
         cfg.write_text(json.dumps({"k": 2, "ns": [3]}))
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 10
         assert capsys.readouterr().err == (
-            "COUNTEREXAMPLE: dual critical point recovered a binary optimal tour; "
+            "COUNTEREXAMPLE: dual critical point reaches the optimum tour length; "
             "see gaps.csv (euclidean-n3-seed0, euclidean-n3-seed1)\n"
         )
         assert len((out / "gaps.csv").read_text().splitlines()) == 5

@@ -74,11 +74,12 @@ def traced_parents(run) -> dict[str, list]:
 
 
 def test_dual_command_calls_dual_value_per_solve():
-    # one dual_value for the start and one per stage end of the barrier
-    # path, and no dual_feasible: a trial point pays only a Cholesky factor
+    # one dual_value for the start, the one cone-tested solve, and one
+    # dual_feasible per stage end of the barrier path, which records the
+    # solve it already made there; a trial point pays only a Cholesky factor
     parents = traced_parents(lambda: _run_dual(random_euclidean_instance(10, 0)[0]))
-    assert parents["dual.value"] == ["dual.ascent"] * 9
-    assert "dual.feasible" not in parents
+    assert parents["dual.value"] == ["dual.ascent"]
+    assert parents["dual.feasible"] == ["dual.ascent"] * 8
 
 
 def test_inverse_search_calls_dual_feasible_once_from_the_replay():
